@@ -24,7 +24,7 @@ from .decomposition import (
 )
 from .orders import parse_order_description, quadratic_order, quadratic_order_half
 from .parser import parse_element
-from .verification import Budget, FAMILIES, sweep, verify_table
+from .verification import Budget, BudgetExceeded, FAMILIES, sweep, verify_table
 
 STATUS_NAMES = {
     EXACT: "Exact",
@@ -98,7 +98,7 @@ def cmd_classify(args, parser):
 def cmd_length(args, parser):
     field, order = _resolve_target(args, parser)
     alpha = parse_element(args.elem, field)
-    result = length(order, alpha, max_n=args.max_n, method=args.method)
+    result = length(order, alpha, max_n=args.max_n)
     payload = {
         "field": _field_json(field),
         "order": order.label,
@@ -168,20 +168,30 @@ def cmd_profile(args, parser):
     return 0
 
 
+def _budget_from_args(args):
+    if args.time_budget is None and args.node_budget is None:
+        return None
+    return Budget(seconds=args.time_budget, nodes=args.node_budget)
+
+
 def cmd_verify(args, parser):
-    budget = None
-    if args.time_budget or args.node_budget:
-        budget = Budget(seconds=args.time_budget, nodes=args.node_budget)
-    rows = verify_table(
-        args.table,
-        item=args.item,
-        scaled=not args.full,
-        budget=budget,
-        s_max=args.s_max,
-    )
-    failures = sum(1 for r in rows if r["status"] != "PASS")
-    _emit({"table": args.table, "rows": rows, "failures": failures})
-    return 0 if failures == 0 else 1
+    def emit(rows):
+        failures = sum(1 for r in rows if r["status"] != "PASS")
+        _emit({"table": args.table, "rows": rows, "failures": failures})
+        return failures
+
+    try:
+        rows = verify_table(
+            args.table,
+            item=args.item,
+            scaled=not args.full,
+            budget=_budget_from_args(args),
+            s_max=args.s_max,
+        )
+    except BudgetExceeded as exc:
+        emit(exc.partial)
+        raise
+    return 0 if emit(rows) == 0 else 1
 
 
 def cmd_sweep(args, parser):
@@ -189,22 +199,25 @@ def cmd_sweep(args, parser):
         lo, _, hi = text.partition("..")
         return int(lo), int(hi)
 
-    budget = None
-    if args.time_budget or args.node_budget:
-        budget = Budget(seconds=args.time_budget, nodes=args.node_budget)
-    rows = sweep(
-        args.family,
-        parse_range(args.m_range),
-        parse_range(args.s_range),
-        budget=budget,
-        jobs=args.jobs,
-        resume_path=args.resume,
-    )
-    for row in rows:
-        json.dump(row, sys.stdout)
-        sys.stdout.write("\n")
-    failures = sum(1 for r in rows if r["status"] == "FAIL")
-    return 0 if failures == 0 else 1
+    def emit(rows):
+        for row in rows:
+            json.dump(row, sys.stdout)
+            sys.stdout.write("\n")
+        return sum(1 for r in rows if r["status"] == "FAIL")
+
+    try:
+        rows = sweep(
+            args.family,
+            parse_range(args.m_range),
+            parse_range(args.s_range),
+            budget=_budget_from_args(args),
+            jobs=args.jobs,
+            resume_path=args.resume,
+        )
+    except BudgetExceeded as exc:
+        emit(exc.partial)
+        raise
+    return 0 if emit(rows) == 0 else 1
 
 
 def build_parser():
@@ -240,7 +253,6 @@ def build_parser():
     add_field_args(p)
     p.add_argument("--elem", required=True, help="element expression")
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--method", choices=("dfs", "mitm"), default="dfs")
     p.set_defaults(func=cmd_length)
 
     p = sub.add_parser("lower-bound", help="Pythagoras-number lower bound")
@@ -258,8 +270,6 @@ def build_parser():
     p.add_argument("--table", required=True,
                    choices=("lemma4.3", "prop4.4", "thm3.1"))
     p.add_argument("--item", type=int, default=None)
-    p.add_argument("--scaled", action="store_true",
-                   help="reduced ranges and caps (the default)")
     p.add_argument("--full", action="store_true",
                    help="full published ranges and caps")
     p.add_argument("--s-max", type=int, default=None)

@@ -1,6 +1,7 @@
 """Sums-of-squares machinery for order lattices: trace-bounded square
-enumeration, minimal-length search, n-square decidability by meet in the
-middle, and the fixed-point lower-bound iteration.
+enumeration, minimal-length search by iterative-deepening DFS (which also
+decides n-square representability), level sets of all bounded sums of
+squares, and the fixed-point lower-bound iteration.
 
 Hot paths work on integer coordinate tuples scaled by the order's common
 denominator; every comparison is exact.
@@ -144,9 +145,8 @@ class SquareSet:
     data as integer tuples over the order denominator.
     """
 
-    def __init__(self, order, bound, scaled_pairs):
+    def __init__(self, order, scaled_pairs):
         self.order = order
-        self.bound = Fraction(bound)
         seen = {}
         for root, sq in scaled_pairs:
             seen.setdefault(sq, root)
@@ -168,7 +168,6 @@ class SquareSet:
         ]
         out = SquareSet.__new__(SquareSet)
         out.order = self.order
-        out.bound = Fraction(alpha_scaled[0], self.order.den)
         out.scaled = tuple(pairs)
         out.squares = tuple(
             (_unscale(self.order, root), _unscale(self.order, sq)) for root, sq in pairs
@@ -183,7 +182,7 @@ def enumerate_squares_traced(order, atr_cap):
     for root in _enumerate_roots(order, atr_cap):
         sq = _square_scaled(order, root)
         pairs.append((root, sq))
-    return SquareSet(order, atr_cap, pairs)
+    return SquareSet(order, pairs)
 
 
 def enumerate_squares_dominated(order, alpha):
@@ -207,7 +206,7 @@ def enumerate_squares_dominated(order, alpha):
             continue
         if tnn(diff):
             pairs.append((root, sq))
-    return SquareSet(order, cap, pairs)
+    return SquareSet(order, pairs)
 
 
 @dataclass
@@ -262,90 +261,28 @@ def _dfs_search(alpha_scaled, squares, k, tnn, D, counter):
     return None
 
 
-def _mitm_levels_extend(alpha_scaled, squares, seen, frontier, tnn, counter):
-    """One more level of sums-of-squares values dominated by alpha."""
-    new = {}
-    cap = alpha_scaled[0]
-    for v in frontier:
-        roots_v = seen[v][1]
-        for root, sq in squares:
-            if v[0] + sq[0] > cap:
-                continue
-            w = _add(v, sq)
-            if w in seen or w in new:
-                continue
-            counter[0] += 1
-            if tnn(_sub(alpha_scaled, w)):
-                new[w] = (root,) + roots_v
-    return new
-
-
-def is_sum_of_n_squares(order, alpha, n, square_set=None, _state=None):
+def is_sum_of_n_squares(order, alpha, n, square_set=None):
     """Whether alpha is a sum of at most n squares of order elements.
 
     Returns (answer, witness) where witness is a tuple of root Elements
-    when the answer is True.  Meet in the middle: level sets of sums of at
-    most floor(n/2) and ceil(n/2) squares dominated by alpha are built and
-    intersected against alpha.
+    when the answer is True.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if alpha.is_zero():
-        return True, ()
-    if not alpha.is_totally_nonnegative():
-        return False, None
-    av = scaled_coords(order, alpha)
-    if av is None:
-        return False, None
-    tnn = _tnn_test(order.field)
-    if _state is None:
-        _state = {}
-    if "squares" in _state:
-        square_set = _state["squares"]
-    else:
-        if square_set is None:
-            square_set = enumerate_squares_dominated(order, alpha)
-        else:
-            square_set = square_set.restrict_dominated(av, tnn)
-        _state["squares"] = square_set
-    squares = square_set.scaled
-    if n == 0 or not squares:
-        return False, None
-
-    counter = _state.setdefault("counter", [0])
-    zero = (0,) * order.field.degree
-    seen = _state.setdefault("seen", {zero: (0, ())})
-    frontiers = _state.setdefault("frontiers", [[zero]])
-
-    lo, hi = n // 2, n - n // 2
-    while len(frontiers) <= hi:
-        level = len(frontiers)
-        new = _mitm_levels_extend(av, squares, seen, frontiers[-1], tnn, counter)
-        for w, roots in new.items():
-            seen[w] = (level, roots)
-        frontiers.append(list(new))
-        if not new:
-            break
-
-    for v, (lv, roots_v) in seen.items():
-        if lv > lo:
-            continue
-        entry = seen.get(_sub(av, v))
-        if entry is not None and entry[0] <= hi:
-            roots = roots_v + entry[1]
-            witness = tuple(_unscale(order, r) for r in roots)
-            return True, witness
+    result = length(order, alpha, max_n=n, square_set=square_set)
+    if result.is_exact:
+        return True, result.witness
     return False, None
 
 
-def length(order, alpha, max_n=None, method="dfs", square_set=None):
+def length(order, alpha, max_n=None, square_set=None):
     """Minimal number of squares of order elements summing to alpha.
 
-    Iterative deepening ("dfs") or meet in the middle ("mitm").  When alpha
-    is totally nonnegative but no representation with at most
-    ceil(abs_trace(alpha)) squares exists, the status is NotSumOfSquares:
-    every nonzero square in an order has abs_trace at least 1.  A smaller
-    max_n that is exhausted first yields Undetermined.
+    Iterative deepening: a depth-first search for at most k squares, for
+    k = 1, 2, ...  When alpha is totally nonnegative but no representation
+    with at most ceil(abs_trace(alpha)) squares exists, the status is
+    NotSumOfSquares: every nonzero square in an order has abs_trace at
+    least 1.  A smaller max_n that is exhausted first yields Undetermined.
     """
     start = time.monotonic()
     counter = [0]
@@ -379,22 +316,11 @@ def length(order, alpha, max_n=None, method="dfs", square_set=None):
     cutoff = _ceil_frac(alpha.abs_trace())
     limit = cutoff if max_n is None else min(max_n, cutoff)
 
-    if method == "mitm":
-        state = {"counter": counter}
-        for k in range(1, limit + 1):
-            ok, witness = is_sum_of_n_squares(
-                order, alpha, k, square_set=square_set, _state=state
-            )
-            if ok:
-                return done(EXACT, len(witness), witness)
-    elif method == "dfs":
-        for k in range(1, limit + 1):
-            roots = _dfs_search(av, squares, k, tnn, order.den, counter)
-            if roots is not None:
-                witness = tuple(_unscale(order, r) for r in roots)
-                return done(EXACT, len(witness), witness)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    for k in range(1, limit + 1):
+        roots = _dfs_search(av, squares, k, tnn, order.den, counter)
+        if roots is not None:
+            witness = tuple(_unscale(order, r) for r in roots)
+            return done(EXACT, len(witness), witness)
 
     if max_n is not None and max_n < cutoff:
         return done(UNDETERMINED)

@@ -128,7 +128,6 @@ class OrderLattice:
                         raise NotAnOrder(
                             f"lattice not closed under multiplication: {x} * {y}"
                         )
-        self.contains_one = True
 
     def basis_elements(self):
         return tuple(

@@ -8,6 +8,7 @@ gcd inequalities) are checked before construction.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import time
@@ -21,7 +22,7 @@ from .fields import (
     classify_field,
     is_squarefree,
 )
-from .orders import maximal_order, quadratic_order, quadratic_order_half
+from .orders import OrderLattice, maximal_order, quadratic_order, quadratic_order_half
 from .decomposition import (
     DecompositionError,
     EXACT,
@@ -539,11 +540,6 @@ PROP44_ENTRIES = (
 )
 
 
-def prop44_alpha(field, coords, den):
-    """Map stored (a, b_m, c_s, d_t) coordinates into the field."""
-    return Element.make(field, coords, den)
-
-
 class Budget:
     """Wall-clock and node budget shared across a batch of length runs."""
 
@@ -553,8 +549,8 @@ class Budget:
         self.started = time.monotonic()
         self.nodes_used = 0
 
-    def charge(self, result):
-        self.nodes_used += result.nodes
+    def charge(self, nodes):
+        self.nodes_used += nodes
 
     def check(self, partial):
         if self.seconds is not None and time.monotonic() - self.started > self.seconds:
@@ -573,10 +569,36 @@ def _field_info(field):
     }
 
 
-def length_report_row(order, alpha, expected, family, method="dfs", max_n=None):
-    result = length(order, alpha, max_n=max_n, method=method)
+def claim_row(claim):
+    """The report row for one claim (family, target, tags).
+
+    target is an order for the quadratic families and otherwise a (p, q)
+    generator pair, measured in the maximal order of its field; tags are
+    added to the row.  The family's element is constructed, its length
+    computed and compared with the expected length.  A pair that names no
+    biquadratic field gives a SKIP row, a field outside the family's
+    conditions a NOT_APPLICABLE row.
+    """
+    family, target, tags = claim
+    if isinstance(target, OrderLattice):
+        order, field = target, target.field
+    else:
+        try:
+            field = target = classify_field(*target)
+        except FieldError as exc:
+            return {**tags, "family": family, "status": "SKIP", "reason": str(exc)}
+        order = None
+    try:
+        alpha = construct_witness(family, target)
+    except FamilyNotApplicable as exc:
+        return {"field": _field_info(field), **tags, "family": family,
+                "status": "NOT_APPLICABLE", "reason": exc.condition}
+    if order is None:
+        order = maximal_order(field)
+    expected = expected_length(family, target)
+    result = length(order, alpha)
     row = {
-        "field": _field_info(order.field),
+        "field": _field_info(field),
         "order": order.label,
         "family": family,
         "alpha": {
@@ -592,7 +614,29 @@ def length_report_row(order, alpha, expected, family, method="dfs", max_n=None):
     }
     if result.witness:
         row["witness"] = [str(w) for w in result.witness]
-    return row, result
+    row.update(tags)
+    return row
+
+
+def run_claims(claims, budget=None, jobs=1, on_row=None):
+    """Report rows for a list of claims, in order.
+
+    Each finished row is passed to on_row, its search nodes are charged to
+    the budget, and the budget is checked; a stop raises BudgetExceeded
+    carrying every row finished so far.  With jobs > 1 the rows are
+    computed by a process pool.
+    """
+    rows = []
+    parallel = jobs > 1 and len(claims) > 1
+    with multiprocessing.Pool(jobs) if parallel else contextlib.nullcontext() as pool:
+        for row in pool.imap(claim_row, claims) if parallel else map(claim_row, claims):
+            rows.append(row)
+            if on_row is not None:
+                on_row(row)
+            if budget is not None:
+                budget.charge(row.get("nodes", 0))
+                budget.check(rows)
+    return rows
 
 
 def verify_table(table, item=None, scaled=True, budget=None, s_max=None):
@@ -601,47 +645,29 @@ def verify_table(table, item=None, scaled=True, budget=None, s_max=None):
     table is one of "thm3.1", "lemma4.3", "prop4.4".  For "lemma4.3" an
     optional item number restricts to one list; `scaled` limits the
     open-ended item to a small range (and for "prop4.4" runs the profile
-    at a reduced trace cap).
+    at a reduced trace cap).  The budget is checked after every row.
     """
-    rows = []
     if table == "thm3.1":
-        for order, alpha, expected in quadratic_baseline_entries():
-            row, result = length_report_row(order, alpha, expected, "QuadraticThm31")
-            rows.append(row)
-            if budget:
-                budget.charge(result)
-                budget.check(rows)
-        return rows
+        claims = [("QuadraticThm31", order, {})
+                  for order, _, _ in quadratic_baseline_entries()]
+        return run_claims(claims, budget)
 
     if table == "lemma4.3":
-        items = [item] if item else sorted(LEMMA_ITEMS)
-        for it in items:
-            cap = s_max if s_max is not None else (50 if scaled else None)
-            family, pairs = _lemma_item_pairs(it, s_max=cap if it == 15 else None)
-            for (a, b) in pairs:
-                field = classify_field(a, b)
-                if it == 15 and scaled and field.s > (cap or 50):
-                    continue
-                alpha = construct_witness(family, field)
-                order = maximal_order(field)
-                expected = expected_length(family, field)
-                method = "mitm" if expected >= 6 else "dfs"
-                row, result = length_report_row(order, alpha, expected, family,
-                                                method=method)
-                row["item"] = it
-                rows.append(row)
-                if budget:
-                    budget.charge(result)
-                    budget.check(rows)
-        return rows
+        cap = s_max if s_max is not None else (50 if scaled else None)
+        claims = []
+        for it in [item] if item else sorted(LEMMA_ITEMS):
+            family, pairs = _lemma_item_pairs(it, s_max=cap)
+            claims += [(family, pair, {"item": it}) for pair in pairs]
+        return run_claims(claims, budget)
 
     if table == "prop4.4":
         from .decomposition import length_profile
 
+        rows = []
         for (p, q), expected_max, coords, den, tr_cap in PROP44_ENTRIES:
             field = classify_field(p, q)
             order = maximal_order(field)
-            alpha = prop44_alpha(field, coords, den)
+            alpha = Element.make(field, coords, den)
             cap = 30 if scaled else Fraction(tr_cap, 4)
             profile = length_profile(order, cap)
             table_max = max(r.length for r in profile)
@@ -660,7 +686,7 @@ def verify_table(table, item=None, scaled=True, budget=None, s_max=None):
                 "alpha_attains": attained,
                 "status": "PASS" if table_max == expected_max and attained else "FAIL",
             })
-            if budget:
+            if budget is not None:
                 budget.check(rows)
         return rows
 
@@ -670,31 +696,11 @@ def verify_table(table, item=None, scaled=True, budget=None, s_max=None):
 # ---------------------------------------------------------------------------
 # Sweeps.
 
-def _sweep_one(args):
-    family, p, q = args
-    try:
-        field = classify_field(p, q)
-    except FieldError as exc:
-        return {"p": p, "q": q, "family": family,
-                "status": "SKIP", "reason": str(exc)}
-    try:
-        alpha = construct_witness(family, field)
-    except FamilyNotApplicable as exc:
-        return {"field": _field_info(field), "p": p, "q": q, "family": family,
-                "status": "NOT_APPLICABLE", "reason": exc.condition}
-    order = maximal_order(field)
-    expected = expected_length(family, field)
-    method = "mitm" if expected >= 6 else "dfs"
-    row, _ = length_report_row(order, alpha, expected, family, method=method)
-    row["p"], row["q"] = p, q
-    return row
-
-
 def sweep(family, m_range, s_range, budget=None, jobs=1, resume_path=None):
     """Run construct-and-measure over the grid of fields; returns rows
     sorted by (p, q).  With resume_path, rows already recorded in that
-    JSON-lines file are loaded instead of recomputed, and new rows are
-    appended."""
+    JSON-lines file are loaded instead of recomputed, and each new row is
+    appended to it as soon as it is finished, so a budget stop keeps them."""
     done = {}
     if resume_path:
         try:
@@ -706,7 +712,7 @@ def sweep(family, m_range, s_range, budget=None, jobs=1, resume_path=None):
         except FileNotFoundError:
             pass
 
-    tasks = []
+    claims = []
     for a in range(m_range[0], m_range[1] + 1):
         if not is_squarefree(a):
             continue
@@ -714,21 +720,19 @@ def sweep(family, m_range, s_range, budget=None, jobs=1, resume_path=None):
             if b == a or not is_squarefree(b):
                 continue
             if (a, b) not in done:
-                tasks.append((family, a, b))
+                claims.append((family, (a, b), {"p": a, "q": b}))
 
-    if jobs > 1 and tasks:
-        with multiprocessing.Pool(jobs) as pool:
-            fresh = pool.map(_sweep_one, tasks)
-    else:
-        fresh = [_sweep_one(t) for t in tasks]
+    def with_done(fresh):
+        return sorted([*done.values(), *fresh], key=lambda r: (r["p"], r["q"]))
 
-    if resume_path and fresh:
-        with open(resume_path, "a") as fh:
-            for row in fresh:
-                fh.write(json.dumps(row) + "\n")
+    with open(resume_path, "a") if resume_path else contextlib.nullcontext() as out:
+        def record(row):
+            out.write(json.dumps(row) + "\n")
+            out.flush()
 
-    rows = list(done.values()) + fresh
-    rows.sort(key=lambda r: (r["p"], r["q"]))
-    if budget:
-        budget.check(rows)
-    return rows
+        try:
+            fresh = run_claims(claims, budget, jobs, on_row=record if resume_path else None)
+        except BudgetExceeded as exc:
+            exc.partial = with_done(exc.partial)
+            raise
+    return with_done(fresh)

@@ -132,6 +132,14 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["failures"] == 0
 
+    def test_zero_time_budget_prints_partial_rows(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--table", "thm3.1", "--time-budget", "0"
+        )
+        assert code == 1
+        assert len(json.loads(out)["rows"]) == 1
+        assert "time budget" in err
+
 
 class TestSweep:
     def test_streamed_rows(self, capsys):
@@ -143,3 +151,13 @@ class TestSweep:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert {(r["p"], r["q"]) for r in rows} == {(17, 19), (17, 21)}
         assert all(r["status"] == "PASS" for r in rows)
+
+    def test_budget_prints_partial_rows(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--family", "MIs1",
+            "--m-range", "17..17", "--s-range", "19..21", "--node-budget", "1",
+        )
+        assert code == 1
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert [(r["p"], r["q"]) for r in rows] == [(17, 19)]
+        assert "node budget" in err

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -125,7 +126,7 @@ class TestLengths:
             order = maximal_order(field)
             alpha = construct_witness(family, field)
             assert expected_length(family, field) == expected
-            result = length(order, alpha, method="mitm" if expected >= 6 else "dfs")
+            result = length(order, alpha)
             assert result.is_exact and result.k == expected, (family, pq)
 
 
@@ -174,6 +175,19 @@ class TestSweep:
         rows = sweep("MIs1", (19, 19), (21, 21))
         assert rows[0]["status"] == "NOT_APPLICABLE"
         assert "m = 1 mod 4" in rows[0]["reason"]
+
+    def test_node_budget_stops_with_finished_rows(self, tmp_path):
+        # the grid has three rows; the first one alone exceeds one node
+        for jobs in (1, 2):
+            path = str(tmp_path / f"rows{jobs}.jsonl")
+            with pytest.raises(BudgetExceeded) as exc:
+                sweep("MIs1", (17, 17), (19, 22), budget=Budget(nodes=1),
+                      jobs=jobs, resume_path=path)
+            partial = exc.value.partial
+            assert [(row["p"], row["q"]) for row in partial] == [(17, 19)]
+            with open(path) as fh:
+                kept = [json.loads(line) for line in fh if line.strip()]
+            assert kept == partial
 
     def test_resume_skips_done_rows(self, tmp_path):
         path = str(tmp_path / "rows.jsonl")
