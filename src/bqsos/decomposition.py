@@ -3,6 +3,8 @@ enumeration, minimal-length search by iterative-deepening DFS (which also
 decides n-square representability), level sets of all bounded sums of
 squares, and the fixed-point lower-bound iteration.
 
+Squares come from one integer walk over the order's lower-triangular HNF
+basis, so every visited point lies in the order.
 Hot paths work on integer coordinate tuples scaled by the order's common
 denominator; every comparison is exact.
 """
@@ -13,8 +15,9 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .fields import Element, FieldError, FieldMismatch, SIGN_PATTERNS, biquad_sign, quad_sign
 from .orders import OrderLattice
@@ -37,14 +40,6 @@ NOT_SUM_OF_SQUARES = "not_sum_of_squares"
 UNDETERMINED = "undetermined"
 
 CACHE_VERSION = 1
-
-
-def _isqrt_frac(x):
-    """Largest integer v with v*v <= x, for a nonnegative Fraction or int."""
-    x = Fraction(x)
-    if x < 0:
-        return -1
-    return isqrt(x.numerator * x.denominator) // x.denominator
 
 
 def _tnn_test(field):
@@ -99,29 +94,35 @@ def _unscale(order, v):
 def _enumerate_roots(order, atr_cap):
     """Scaled coordinate tuples of all nonzero x in the order with
     abs_trace(x*x) <= atr_cap, one per {x, -x} pair (first nonzero
-    coordinate positive)."""
-    field, D = order.field, order.den
-    weights = (1,) + field.radicands
-    dim = field.degree
-    budget = Fraction(atr_cap) * D * D
+    coordinate positive).
+
+    The walk runs down the rows of the lower-triangular HNF basis: once
+    the multipliers of the earlier columns are fixed, row i's coordinate is
+    offset + y*pivot for the next multiplier y, so every visited point lies
+    in the order.  The cap is kept as the integer remainder
+    cap.numerator*D^2 - cap.denominator*sum(w*x^2)."""
+    D, basis = order.den, order.basis
+    weights = (1,) + order.field.radicands
+    dim = len(basis)
+    q = atr_cap.denominator
     roots = []
-    vec = [0] * dim
+    ys, vec = [0] * dim, [0] * dim
 
     def walk(i, rem, leading_zero):
         if i == dim:
             if not leading_zero:
-                v = tuple(vec)
-                if order.contains_scaled(v):
-                    roots.append(v)
+                roots.append(tuple(vec))
             return
-        w = weights[i]
-        vmax = _isqrt_frac(rem / w)
-        for v in range(0 if leading_zero else -vmax, vmax + 1):
-            vec[i] = v
-            walk(i + 1, rem - v * v * w, leading_zero and v == 0)
-        vec[i] = 0
+        piv, qw = basis[i][i], q * weights[i]
+        off = sum(ys[j] * basis[j][i] for j in range(i))
+        bound = isqrt(rem // qw)
+        for y in range(0 if leading_zero else -((bound + off) // piv), (bound - off) // piv + 1):
+            ys[i] = y
+            v = vec[i] = off + y * piv
+            walk(i + 1, rem - qw * v * v, leading_zero and y == 0)
 
-    walk(0, budget, True)
+    if atr_cap >= 0:
+        walk(0, atr_cap.numerator * D * D, True)
     return roots
 
 
@@ -137,23 +138,37 @@ def _square_scaled(order, root):
     return tuple(out)
 
 
+def _root_squares(order, atr_cap):
+    """(root, square) scaled pairs of the walk, squared one at a time so
+    that a filter never holds the squares of the whole trace ball."""
+    return ((root, _square_scaled(order, root)) for root in _enumerate_roots(order, atr_cap))
+
+
+def _dominated(pairs, av, k, tnn):
+    """The (root, square) pairs with av - k*square totally nonnegative."""
+    return [
+        (root, sq)
+        for root, sq in pairs
+        if k * sq[0] <= av[0] and tnn(tuple(a - k * c for a, c in zip(av, sq)))
+    ]
+
+
 class SquareSet:
     """Nonzero squares of order elements under an absolute-trace cap.
 
-    `squares` holds (root, square) Element pairs with sign-canonical roots,
-    sorted by descending abs_trace of the square; `scaled` holds the same
-    data as integer tuples over the order denominator.
+    `scaled` holds (root, square) pairs of integer tuples over the order
+    denominator with sign-canonical roots, sorted by descending abs_trace
+    of the square; `squares` holds the same data as Elements.
     """
 
     def __init__(self, order, scaled_pairs):
         self.order = order
-        seen = {}
-        for root, sq in scaled_pairs:
-            seen.setdefault(sq, root)
-        items = sorted(seen.items(), key=lambda kv: (-kv[0][0], kv[0], kv[1]))
-        self.scaled = tuple((root, sq) for sq, root in items)
-        self.squares = tuple(
-            (_unscale(order, root), _unscale(order, sq)) for root, sq in self.scaled
+        self.scaled = tuple(sorted(scaled_pairs, key=lambda p: (-p[1][0], p[1])))
+
+    @cached_property
+    def squares(self):
+        return tuple(
+            (_unscale(self.order, root), _unscale(self.order, sq)) for root, sq in self.scaled
         )
 
     def __len__(self):
@@ -161,52 +176,25 @@ class SquareSet:
 
     def restrict_dominated(self, alpha_scaled, tnn):
         """The subset of squares dominated by the given scaled value."""
-        pairs = [
-            (root, sq)
-            for root, sq in self.scaled
-            if sq[0] <= alpha_scaled[0] and tnn(_sub(alpha_scaled, sq))
-        ]
-        out = SquareSet.__new__(SquareSet)
-        out.order = self.order
-        out.scaled = tuple(pairs)
-        out.squares = tuple(
-            (_unscale(self.order, root), _unscale(self.order, sq)) for root, sq in pairs
-        )
-        return out
+        return SquareSet(self.order, _dominated(self.scaled, alpha_scaled, 1, tnn))
 
 
 def enumerate_squares_traced(order, atr_cap):
     """All nonzero squares x*x of order elements with abs_trace <= atr_cap."""
-    atr_cap = Fraction(atr_cap)
-    pairs = []
-    for root in _enumerate_roots(order, atr_cap):
-        sq = _square_scaled(order, root)
-        pairs.append((root, sq))
-    return SquareSet(order, pairs)
+    return SquareSet(order, _root_squares(order, Fraction(atr_cap)))
 
 
 def enumerate_squares_dominated(order, alpha):
-    """The set of nonzero squares x*x with alpha - x*x totally nonnegative."""
+    """The set of nonzero squares x*x with alpha - x*x totally nonnegative.
+
+    alpha need not lie in the order: both sides are compared over the
+    common denominator of alpha and the order."""
     if not alpha.is_totally_nonnegative():
         raise NotTotallyNonnegative(f"{alpha} is not totally nonnegative")
-    av = scaled_coords(order, alpha)
-    tnn = _tnn_test(order.field)
-    cap = alpha.abs_trace()
-    pairs = []
-    for root in _enumerate_roots(order, cap):
-        sq = _square_scaled(order, root)
-        if av is not None:
-            diff = _sub(av, sq)
-        else:
-            # alpha outside the order: fall back to exact Element arithmetic.
-            diff_elem = alpha - _unscale(order, sq)
-            if not diff_elem.is_totally_nonnegative():
-                continue
-            pairs.append((root, sq))
-            continue
-        if tnn(diff):
-            pairs.append((root, sq))
-    return SquareSet(order, pairs)
+    L = lcm(order.den, alpha.den)
+    av = tuple(c * (L // alpha.den) for c in alpha.num)
+    pairs = _root_squares(order, alpha.abs_trace())
+    return SquareSet(order, _dominated(pairs, av, L // order.den, _tnn_test(order.field)))
 
 
 @dataclass
@@ -220,11 +208,6 @@ class LengthResult:
     @property
     def is_exact(self):
         return self.status == EXACT
-
-
-def _ceil_frac(x):
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
 
 
 def _dfs_search(alpha_scaled, squares, k, tnn, D, counter):
@@ -313,7 +296,7 @@ def length(order, alpha, max_n=None, square_set=None):
     if not squares:
         return done(NOT_SUM_OF_SQUARES)
 
-    cutoff = _ceil_frac(alpha.abs_trace())
+    cutoff = -(-av[0] // order.den)
     limit = cutoff if max_n is None else min(max_n, cutoff)
 
     for k in range(1, limit + 1):
@@ -445,19 +428,20 @@ def save_level_cache(cache_dir, order, atr_cap, levels, stabilized):
 
 
 def load_level_cache(cache_dir, order, atr_cap):
-    path = _cache_path(cache_dir, order, Fraction(atr_cap))
-    if not os.path.exists(path):
+    """The cached (levels, stabilized) pair, or None when the file is
+    missing, unreadable, or written for another version, order or cap."""
+    cap = Fraction(atr_cap)
+    try:
+        with open(_cache_path(cache_dir, order, cap)) as fh:
+            payload = json.load(fh)
+        if (payload["version"] != CACHE_VERSION
+                or payload["basis_hash"] != order.basis_hash()
+                or payload["cap"] != [cap.numerator, cap.denominator]):
+            return None
+        levels = [
+            {tuple(v): tuple(tuple(r) for r in roots) for v, roots in level}
+            for level in payload["levels"]
+        ]
+        return levels, bool(payload["stabilized"])
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
         return None
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("version") != CACHE_VERSION:
-        return None
-    if payload.get("basis_hash") != order.basis_hash():
-        return None
-    if payload.get("cap") != [Fraction(atr_cap).numerator, Fraction(atr_cap).denominator]:
-        return None
-    levels = [
-        {tuple(v): tuple(tuple(r) for r in roots) for v, roots in level}
-        for level in payload["levels"]
-    ]
-    return levels, bool(payload.get("stabilized"))

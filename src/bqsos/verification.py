@@ -9,6 +9,7 @@ gcd inequalities) are checked before construction.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import multiprocessing
 import time
@@ -83,9 +84,10 @@ def _sq(x):
 # ---------------------------------------------------------------------------
 # Quadratic families.
 
+@functools.cache
 def quadratic_baseline_entries():
     """The per-order maximal-length elements in small quadratic orders:
-    a list of (order, element, expected length) triples."""
+    a tuple of (order, element, expected length) triples, built once."""
     out = []
 
     o = maximal_order(QuadraticField(2))
@@ -117,19 +119,29 @@ def quadratic_baseline_entries():
     w = _half(f, 13)
     out.append((o, 3 + _sq(w) + _sq(1 + w), 5))
 
-    return out
+    return tuple(out)
 
 
-def _quadratic_thm31(order):
-    for o, alpha, _ in quadratic_baseline_entries():
+def _require_quadratic_order(target):
+    _require(isinstance(target, OrderLattice) and isinstance(target.field, QuadraticField),
+             "need an order in a quadratic field")
+
+
+def _baseline_entry(order):
+    """The (element, expected length) listed for the order."""
+    _require_quadratic_order(order)
+    for o, alpha, k in quadratic_baseline_entries():
         if o == order:
-            return alpha
+            return alpha, k
     raise FamilyNotApplicable(f"order {order.label} has no listed element")
 
 
+def _quadratic_thm31(order):
+    return _baseline_entry(order)[0]
+
+
 def _quadratic_obs32(order):
-    _require(isinstance(order.field, QuadraticField),
-             "need an order in a quadratic field")
+    _require_quadratic_order(order)
     if order.den == 2:
         # basis is (1 + f*sqrt(n))/2, f*sqrt(n); w is the first generator
         w = order.basis_elements()[0]
@@ -458,10 +470,7 @@ def construct_witness(family, target):
 
 def expected_length(family, target=None):
     if family == "QuadraticThm31":
-        for o, _, k in quadratic_baseline_entries():
-            if o == target:
-                return k
-        raise FamilyNotApplicable("order has no listed element")
+        return _baseline_entry(target)[1]
     return EXPECTED_LENGTH[family]
 
 
@@ -700,17 +709,22 @@ def sweep(family, m_range, s_range, budget=None, jobs=1, resume_path=None):
     """Run construct-and-measure over the grid of fields; returns rows
     sorted by (p, q).  With resume_path, rows already recorded in that
     JSON-lines file are loaded instead of recomputed, and each new row is
-    appended to it as soon as it is finished, so a budget stop keeps them."""
+    appended to it as soon as it is finished, so a budget stop keeps them.
+    An incomplete last line is cut from the file and its row recomputed."""
     done = {}
     if resume_path:
         try:
-            with open(resume_path) as fh:
-                for line in fh:
-                    if line.strip():
-                        row = json.loads(line)
-                        done[(row["p"], row["q"])] = row
+            with open(resume_path, "rb+") as fh:
+                data = fh.read()
+                # a kill can cut the last row off; drop it so it is recomputed
+                data = data[: data.rfind(b"\n") + 1]
+                fh.truncate(len(data))
         except FileNotFoundError:
-            pass
+            data = b""
+        for line in data.splitlines():
+            if line.strip():
+                row = json.loads(line)
+                done[(row["p"], row["q"])] = row
 
     claims = []
     for a in range(m_range[0], m_range[1] + 1):

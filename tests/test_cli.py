@@ -99,6 +99,18 @@ class TestLowerBound:
         code, second, _ = run(capsys, *argv)
         assert first == second
 
+    def test_truncated_cache_is_recomputed(self, capsys, tmp_path):
+        argv = ["lower-bound", "--p", "2", "--q", "3", "--atr-cap", "6",
+                "--cache", str(tmp_path)]
+        code, cold, _ = run(capsys, *argv)
+        assert code == 0
+        (path,) = tmp_path.iterdir()
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        code, again, _ = run(capsys, *argv)
+        assert code == 0 and again == cold
+        assert path.read_text() == text
+
 
 class TestProfile:
     def test_csv(self, capsys):
@@ -161,3 +173,14 @@ class TestSweep:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert [(r["p"], r["q"]) for r in rows] == [(17, 19)]
         assert "node budget" in err
+
+    def test_quadratic_family_on_biquadratic_grid(self, capsys):
+        for family in ("QuadraticObs32", "QuadraticThm31"):
+            code, out, err = run(
+                capsys, "sweep", "--family", family,
+                "--m-range", "2..2", "--s-range", "3..3",
+            )
+            assert code == 0 and "Traceback" not in err
+            (row,) = [json.loads(line) for line in out.strip().splitlines()]
+            assert row["status"] == "NOT_APPLICABLE"
+            assert "quadratic field" in row["reason"]

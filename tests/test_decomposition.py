@@ -1,14 +1,18 @@
+import itertools
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from bqsos.fields import classify_field
+from bqsos.fields import Element, classify_field
 from bqsos.orders import (
     maximal_order,
+    parse_order_description,
     quadratic_maximal_order,
     quadratic_order,
     quadratic_order_half,
 )
+from bqsos.parser import parse_element
 from bqsos.decomposition import (
     CapTooSmall,
     EXACT,
@@ -35,6 +39,25 @@ def replay(alpha, witness):
     for w in witness:
         total = total + w * w
     return total == alpha
+
+
+def box_walk_squares(order, cap):
+    """Reference enumeration: (root, square) scaled pairs for every point of
+    the power-basis box under the cap that lies in the order, one root per
+    {x, -x} pair with its first nonzero coordinate positive."""
+    D, field = order.den, order.field
+    budget = Fraction(cap) * D * D
+    weights = (1,) + field.radicands
+    box = [range(-isqrt(int(budget / w)), isqrt(int(budget / w)) + 1) for w in weights]
+    out = set()
+    for v in itertools.product(*box):
+        if sum(w * c * c for w, c in zip(weights, v)) > budget:
+            continue
+        if not any(v) or next(c for c in v if c) < 0 or not order.contains_scaled(v):
+            continue
+        root = Element.make(field, v, D)
+        out.add((v, scaled_coords(order, root * root)))
+    return out
 
 
 class TestSquareEnumeration:
@@ -76,6 +99,19 @@ class TestSquareEnumeration:
         assert {sq for _, sq in squares.squares} == {
             F23.one(), F23.from_rational(2)
         }
+
+    def test_matches_box_walk(self):
+        # the HNF walk against the power-basis box, filtered by membership
+        orders = [maximal_order(classify_field(p, q))
+                  for p, q in ((2, 3), (2, 5), (3, 5), (5, 13), (21, 33))]
+        orders += [parse_order_description(desc, F23, parse_element)
+                   for desc in ("gen:sqrt(2);sqrt(3)", "gen:sqrt(8);sqrt(12)")]
+        orders += [quadratic_order(12), quadratic_order_half(13)]
+        for order in orders:
+            for cap in (Fraction(1, 2), 1, Fraction(7, 2), 6):
+                scaled = enumerate_squares_traced(order, cap).scaled
+                assert len(set(scaled)) == len(scaled)
+                assert set(scaled) == box_walk_squares(order, cap), (order, cap)
 
     def test_scaled_coords(self):
         x = (F23.sqrt_of(2) + F23.sqrt_of(6)) / 2
@@ -234,3 +270,20 @@ class TestCache:
         with open(path, "w") as fh:
             json.dump(payload, fh)
         assert load_level_cache(cache, BQ23, 6) is None
+
+    def test_missing_keys_miss(self, tmp_path):
+        import json
+        from bqsos.decomposition import _cache_path
+
+        cache = str(tmp_path)
+        first = pythagoras_lower_bound(BQ23, 6, cache_dir=cache)
+        path = _cache_path(cache, BQ23, 6)
+        with open(path) as fh:
+            payload = json.load(fh)
+        del payload["levels"]
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        assert load_level_cache(cache, BQ23, 6) is None
+        # a miss is recomputed and the file rewritten
+        assert pythagoras_lower_bound(BQ23, 6, cache_dir=cache) == first
+        assert load_level_cache(cache, BQ23, 6) is not None

@@ -197,3 +197,17 @@ class TestSweep:
         with open(path) as fh:
             lines = [line for line in fh if line.strip()]
         assert len(lines) == len(first)
+
+    def test_resume_recomputes_a_truncated_last_row(self, tmp_path):
+        # a kill while appending leaves two whole rows and a partial one
+        path = tmp_path / "rows.jsonl"
+        full = sweep("MIs1", (17, 17), (19, 22))
+        whole = "".join(json.dumps(row) + "\n" for row in full[:2])
+        path.write_text(whole + json.dumps(full[2])[:40])
+        rows = sweep("MIs1", (17, 17), (19, 22), resume_path=str(path))
+        assert rows[:2] == full[:2]
+        assert {k: v for k, v in rows[2].items() if k != "millis"} == {
+            k: v for k, v in full[2].items() if k != "millis"}
+        text = path.read_text()
+        assert text.startswith(whole)
+        assert [json.loads(line) for line in text.splitlines()] == rows
