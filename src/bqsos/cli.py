@@ -75,11 +75,19 @@ def _resolve_target(args, parser):
     return field, order
 
 
+def _fraction(text):
+    """argparse type for an exact rational such as 8, 15/2 or 7.5."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
+
+
 def _cap_from_args(args):
     if args.atr_cap is not None:
-        return Fraction(args.atr_cap)
+        return args.atr_cap
     if args.tr_cap is not None:
-        cap = Fraction(args.tr_cap) / 4
+        cap = args.tr_cap / 4
         print(
             f"note: --tr-cap {args.tr_cap} interpreted as --atr-cap {cap}"
             " (trace divided by the degree)",
@@ -239,10 +247,11 @@ def build_parser():
             )
 
     def add_cap_args(p):
-        p.add_argument("--atr-cap", default=None,
-                       help="cap on trace/degree, as an exact rational")
-        p.add_argument("--tr-cap", default=None,
-                       help="cap on the trace; divided by the degree")
+        caps = p.add_mutually_exclusive_group()
+        caps.add_argument("--atr-cap", type=_fraction, default=None,
+                          help="cap on trace/degree, as an exact rational")
+        caps.add_argument("--tr-cap", type=_fraction, default=None,
+                          help="cap on the trace; divided by the degree")
         p.add_argument("--cache", default=None, help="level-set cache directory")
 
     p = sub.add_parser("classify", help="canonical field data as JSON")

@@ -6,7 +6,9 @@ squares, and the fixed-point lower-bound iteration.
 Squares come from one integer walk over the order's lower-triangular HNF
 basis, so every visited point lies in the order.
 Hot paths work on integer coordinate tuples scaled by the order's common
-denominator; every comparison is exact.
+denominator; every comparison is exact.  Level sets are extended on those
+tuples packed into single ints, adding to each value only the suffix of
+the trace-sorted squares that stays under the cap.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from __future__ import annotations
 import json
 import os
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import isqrt, lcm
+from math import floor, isqrt, lcm
 
 from .fields import Element, FieldError, FieldMismatch, SIGN_PATTERNS, biquad_sign, quad_sign
 from .orders import OrderLattice
@@ -70,10 +73,6 @@ def _tnn_test(field):
 
 def _sub(x, y):
     return tuple(a - b for a, b in zip(x, y))
-
-
-def _add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
 
 
 def scaled_coords(order, x):
@@ -310,50 +309,99 @@ def length(order, alpha, max_n=None, square_set=None):
     return done(NOT_SUM_OF_SQUARES)
 
 
-def _level_sets(order, atr_cap, cache_dir=None, max_levels=None):
+def _packer(dim, cap):
+    """(pack, unpack) between coordinate tuples and ints in balanced base
+    M = 2**(2*cap+1).bit_length(), valid for tuples whose coordinates all
+    have absolute value at most cap.
+
+    Packing is linear, so the pack of a sum is the sum of the packs.
+    Every sum formed by the level extension is a sum of squares under the
+    scaled cap, so 0 <= w[0] <= cap; and it is totally nonnegative, so
+    |w[i]| <= w[0]: w[0] is the plain average of w's conjugates, w[i]
+    times sqrt(r) (r > 1 the i-th radicand) is a signed average of them,
+    and a signed average of nonnegative numbers is at most their plain
+    average.  Since
+    2*cap + 1 < M, every digit lies strictly between -M/2 and M/2, so
+    distinct tuples have distinct packs."""
+    shift = (2 * cap + 1).bit_length()
+    mask, half = (1 << shift) - 1, 1 << (shift - 1)
+
+    def pack(v):
+        x = 0
+        for c in reversed(v):
+            x = (x << shift) + c
+        return x
+
+    def unpack(x):
+        out = []
+        for _ in range(dim):
+            c = ((x + half) & mask) - half
+            out.append(c)
+            x = (x - c) >> shift
+        return tuple(out)
+
+    return pack, unpack
+
+
+def _level_sets(order, atr_cap, cache_dir=None):
     """Level sets of sums of at most k squares with abs_trace <= atr_cap.
 
-    Returns (levels, stabilized) where levels[k] maps each value first seen
-    at level k+1 to a witness tuple of scaled roots; iteration stops at the
-    fixed point (or at max_levels)."""
+    Returns (levels, True) where levels[k] maps each value first seen at
+    level k+1 to a witness tuple of scaled roots; iteration stops at the
+    fixed point.  A cache hit is returned before any enumeration.
+
+    Each level is extended on packed ints (see _packer): a value plus a
+    square is one int add, and `seen` is a set of ints.  The base squares
+    are sorted by descending trace, so the squares that fit under the cap
+    next to a value v are a suffix of them, found by one bisection; they
+    are tried in base order, and the first witness found for a value is
+    kept, as a plain scan of every (value, square) pair would keep it."""
     atr_cap = Fraction(atr_cap)
     if atr_cap < 1:
         raise CapTooSmall(f"cap {atr_cap} admits no squares")
-    cached = load_level_cache(cache_dir, order, atr_cap) if cache_dir else None
-    base = enumerate_squares_traced(order, atr_cap)
-    if not len(base):
-        raise CapTooSmall(f"cap {atr_cap} admits no squares")
-    cap_scaled = atr_cap * order.den
-
-    if cached is not None:
-        levels, stabilized = cached
-        if stabilized:
-            return levels, True
-    else:
-        levels = [{sq: (root,) for root, sq in reversed(base.scaled)}]
-    seen = {}
-    for lv in levels:
-        seen.update(lv)
-
-    stabilized = False
-    while max_levels is None or len(levels) < max_levels:
-        new = {}
-        for v, roots in levels[-1].items():
-            for root, sq in base.scaled:
-                if v[0] + sq[0] > cap_scaled:
-                    continue
-                # sums of squares are automatically totally nonnegative
-                w = _add(v, sq)
-                if w not in seen and w not in new:
-                    new[w] = (root,) + roots
-        if not new:
-            stabilized = True
-            break
-        levels.append(new)
-        seen.update(new)
     if cache_dir:
-        save_level_cache(cache_dir, order, atr_cap, levels, stabilized)
-    return levels, stabilized
+        cached = load_level_cache(cache_dir, order, atr_cap)
+        if cached is not None:
+            return cached
+    base = enumerate_squares_traced(order, atr_cap).scaled
+    # traces are integers, so v[0] + sq[0] <= cap*den iff it is <= floor
+    cap = floor(atr_cap * order.den)
+    pack, unpack = _packer(len(order.basis), cap)
+    neg_traces = [-sq[0] for _, sq in base]
+    squares = [(pack(sq), sq[0], root) for root, sq in base]
+
+    levels = [{sq: (root,) for root, sq in reversed(base)}]
+    frontier = [(pack(v), v[0], roots) for v, roots in levels[0].items()]
+    seen = {p for p, _, _ in frontier}
+    while True:
+        new = []
+        for v, t, roots in frontier:
+            for p, a, root in squares[bisect_left(neg_traces, t - cap):]:
+                # sums of squares are automatically totally nonnegative
+                w = v + p
+                if w not in seen:
+                    seen.add(w)
+                    new.append((w, t + a, (root,) + roots))
+        if not new:
+            break
+        levels.append({unpack(w): roots for w, _, roots in new})
+        frontier = new
+    if cache_dir:
+        save_level_cache(cache_dir, order, atr_cap, levels, True)
+    return levels, True
+
+
+class _Elements(dict):
+    """Scaled tuple -> Element, each built once.  Elements are never
+    mutated, so rows share them."""
+
+    def __init__(self, order):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, v):
+        x = self[v] = _unscale(self.order, v)
+        return x
 
 
 def pythagoras_lower_bound(order, atr_cap, cache_dir=None):
@@ -363,8 +411,9 @@ def pythagoras_lower_bound(order, atr_cap, cache_dir=None):
     length n."""
     levels, _ = _level_sets(order, atr_cap, cache_dir=cache_dir)
     n = len(levels)
+    roots_of = _Elements(order)
     witnesses = [
-        (_unscale(order, v), tuple(_unscale(order, r) for r in roots))
+        (_unscale(order, v), tuple(roots_of[r] for r in roots))
         for v, roots in sorted(levels[-1].items())
     ]
     return n, witnesses
@@ -384,6 +433,7 @@ def length_profile(order, atr_cap, cache_dir=None):
     representation of such a value has all partial sums dominated by it,
     hence within the cap."""
     levels, _ = _level_sets(order, atr_cap, cache_dir=cache_dir)
+    roots_of = _Elements(order)
     rows = []
     for k, level in enumerate(levels, start=1):
         for v, roots in sorted(level.items()):
@@ -391,7 +441,7 @@ def length_profile(order, atr_cap, cache_dir=None):
                 ProfileRow(
                     element=_unscale(order, v),
                     length=k,
-                    witness=tuple(_unscale(order, r) for r in roots),
+                    witness=tuple(roots_of[r] for r in roots),
                 )
             )
     return rows
@@ -428,20 +478,22 @@ def save_level_cache(cache_dir, order, atr_cap, levels, stabilized):
 
 
 def load_level_cache(cache_dir, order, atr_cap):
-    """The cached (levels, stabilized) pair, or None when the file is
-    missing, unreadable, or written for another version, order or cap."""
+    """The cached (levels, True) pair, or None when the file is missing,
+    unreadable, written for another version, order or cap, or holds
+    levels short of the fixed point."""
     cap = Fraction(atr_cap)
     try:
         with open(_cache_path(cache_dir, order, cap)) as fh:
             payload = json.load(fh)
         if (payload["version"] != CACHE_VERSION
                 or payload["basis_hash"] != order.basis_hash()
-                or payload["cap"] != [cap.numerator, cap.denominator]):
+                or payload["cap"] != [cap.numerator, cap.denominator]
+                or payload["stabilized"] is not True):
             return None
         levels = [
             {tuple(v): tuple(tuple(r) for r in roots) for v, roots in level}
             for level in payload["levels"]
         ]
-        return levels, bool(payload["stabilized"])
+        return levels, True
     except (FileNotFoundError, ValueError, KeyError, TypeError):
         return None

@@ -111,6 +111,33 @@ class TestLowerBound:
         assert code == 0 and again == cold
         assert path.read_text() == text
 
+    def test_unstabilized_cache_is_recomputed(self, capsys, tmp_path):
+        argv = ["lower-bound", "--p", "2", "--q", "3", "--atr-cap", "6",
+                "--cache", str(tmp_path)]
+        code, cold, _ = run(capsys, *argv)
+        assert code == 0
+        (path,) = tmp_path.iterdir()
+        text = path.read_text()
+        payload = json.loads(text)
+        payload["stabilized"] = False
+        path.write_text(json.dumps(payload))
+        code, again, _ = run(capsys, *argv)
+        assert code == 0 and again == cold
+        assert path.read_text() == text
+
+
+class TestCapArguments:
+    @pytest.mark.parametrize("caps", [
+        ("--atr-cap", "1/0"),
+        ("--atr-cap", "abc"),
+        ("--atr-cap", "4", "--tr-cap", "8"),
+    ])
+    def test_usage_error(self, capsys, caps):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--p", "2", "--q", "3", *caps])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestProfile:
     def test_csv(self, capsys):

@@ -15,6 +15,7 @@ from bqsos.orders import (
 from bqsos.parser import parse_element
 from bqsos.decomposition import (
     CapTooSmall,
+    _level_sets,
     EXACT,
     NOT_SUM_OF_SQUARES,
     NotTotallyNonnegative,
@@ -58,6 +59,29 @@ def box_walk_squares(order, cap):
         root = Element.make(field, v, D)
         out.add((v, scaled_coords(order, root * root)))
     return out
+
+
+def nested_loop_levels(order, cap):
+    """Reference level sets: try every (value, square) pair of the last
+    level, in base order, and keep the first witness of each new value."""
+    cap = Fraction(cap)
+    base = enumerate_squares_traced(order, cap).scaled
+    cap_scaled = cap * order.den
+    levels = [{sq: (root,) for root, sq in reversed(base)}]
+    seen = dict(levels[0])
+    while True:
+        new = {}
+        for v, roots in levels[-1].items():
+            for root, sq in base:
+                if v[0] + sq[0] > cap_scaled:
+                    continue
+                w = tuple(a + b for a, b in zip(v, sq))
+                if w not in seen and w not in new:
+                    new[w] = (root,) + roots
+        if not new:
+            return levels
+        levels.append(new)
+        seen.update(new)
 
 
 class TestSquareEnumeration:
@@ -236,6 +260,25 @@ class TestProfile:
     def test_profile_respects_cap(self):
         for row in length_profile(BQ23, 5):
             assert row.element.abs_trace() <= 5
+
+
+class TestLevelSets:
+    def test_matches_nested_loop(self):
+        # values, dict order and witnesses all equal the plain double loop;
+        # at den 2 the caps 15/2 and 8 put the scaled cap at 15 and 16, on
+        # both sides of a power of two, where the packing base doubles
+        orders = [maximal_order(classify_field(p, q))
+                  for p, q in ((2, 3), (2, 5), (3, 5), (5, 13), (21, 33))]
+        orders.append(parse_order_description("gen:sqrt(8);sqrt(12)", F23, parse_element))
+        orders += [quadratic_order(12), quadratic_order_half(13)]
+        for order in orders:
+            for cap in (1, Fraction(7, 2), Fraction(15, 2), 8):
+                levels, stabilized = _level_sets(order, cap)
+                want = nested_loop_levels(order, cap)
+                assert stabilized
+                assert [list(lv.items()) for lv in levels] == [
+                    list(lv.items()) for lv in want
+                ], (order, cap)
 
 
 class TestCache:
