@@ -83,11 +83,11 @@ def _fraction(text):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
 
 
-def _cap_from_args(args):
+def _cap_from_args(args, field):
     if args.atr_cap is not None:
         return args.atr_cap
     if args.tr_cap is not None:
-        cap = args.tr_cap / 4
+        cap = args.tr_cap / field.degree
         print(
             f"note: --tr-cap {args.tr_cap} interpreted as --atr-cap {cap}"
             " (trace divided by the degree)",
@@ -125,7 +125,7 @@ def cmd_length(args, parser):
 
 def cmd_lower_bound(args, parser):
     field, order = _resolve_target(args, parser)
-    cap = _cap_from_args(args)
+    cap = _cap_from_args(args, field)
     if cap is None:
         parser.error("one of --atr-cap or --tr-cap is required")
     n, witnesses = pythagoras_lower_bound(order, cap, cache_dir=args.cache)
@@ -147,7 +147,7 @@ def cmd_lower_bound(args, parser):
 
 def cmd_profile(args, parser):
     field, order = _resolve_target(args, parser)
-    cap = _cap_from_args(args)
+    cap = _cap_from_args(args, field)
     if cap is None:
         parser.error("one of --atr-cap or --tr-cap is required")
     rows = length_profile(order, cap, cache_dir=args.cache)

@@ -1,10 +1,17 @@
-"""Sums-of-squares machinery for order lattices: trace-bounded square
-enumeration, minimal-length search by iterative-deepening DFS (which also
-decides n-square representability), level sets of all bounded sums of
-squares, and the fixed-point lower-bound iteration.
+"""Sums-of-squares machinery for order lattices: square enumeration,
+minimal-length search by iterative-deepening DFS (which also decides
+n-square representability), level sets of all bounded sums of squares,
+and the fixed-point lower-bound iteration.
 
 Squares come from one integer walk over the order's lower-triangular HNF
-basis, so every visited point lies in the order.
+basis, so every visited point lies in the order.  The walk is bounded by
+a positive-definite rational quadratic form Q(x) <= 1 (Fincke-Pohst):
+the trace form abs_trace(x*x)/cap for the squares under a trace cap, and
+abs_trace(x*x/alpha) for the squares dominated by alpha, since x*x <=
+alpha gives sigma(x)**2/sigma(alpha) <= 1 at each embedding sigma.  An
+exact total-nonnegativity test then keeps the dominated squares.  The
+form is scaled to integers once per walk, and each coordinate's range
+comes from an integer square root, so no float decides anything.
 Hot paths work on integer coordinate tuples scaled by the order's common
 denominator; every comparison is exact.  Level sets are extended on those
 tuples packed into single ints, adding to each value only the suffix of
@@ -21,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import floor, isqrt, lcm
+from operator import mul
 
 from .fields import Element, FieldError, FieldMismatch, SIGN_PATTERNS, biquad_sign, quad_sign
 from .orders import OrderLattice
@@ -90,38 +98,124 @@ def _unscale(order, v):
     return Element.make(order.field, v, order.den)
 
 
-def _enumerate_roots(order, atr_cap):
+def _reverse_ldl(gram):
+    """(e, lam) with v^T gram v = sum_i e[i]*(v[i] + sum_{j<i} lam[i][j]*v[j])**2
+    for a positive-definite integer Gram matrix, found by splitting off the
+    last coordinate first.
+
+    Fraction-free (Bareiss): the remaining form is g/prev with g integer,
+    and the division by prev in each update is exact."""
+    g = [list(row) for row in gram]
+    e, lam = [], []
+    prev = 1
+    for i in reversed(range(len(g))):
+        p, gi = g[i][i], g[i]
+        e.append(Fraction(p, prev))
+        lam.append([Fraction(gi[j], p) for j in range(i)])
+        for j in range(i):
+            gj = g[j]
+            for k in range(j + 1):
+                gj[k] = (p * gj[k] - gi[j] * gi[k]) // prev
+        prev = p
+    return e[::-1], lam[::-1]
+
+
+def _trace_form(order, atr_cap):
+    """abs_trace(x*x)/atr_cap in the shape _enumerate_roots takes: diagonal
+    in the power basis, with the weights (1, radicands) over the cap."""
+    weights = (1,) + order.field.radicands
+    p, q = atr_cap.numerator, atr_cap.denominator
+    return [Fraction(w * q, p) for w in weights], [[0] * i for i in range(len(weights))]
+
+
+def _dominance_form(order, alpha):
+    """abs_trace(x*x/alpha) for totally positive alpha, in the shape
+    _enumerate_roots takes.
+
+    x*x <= alpha gives sigma_k(x)**2/sigma_k(alpha) <= 1 at each of the d
+    embeddings, so every dominated square has Tr(x*x/alpha) <= d, that is
+    abs_trace(x*x/alpha) <= 1.  With adj the product of the other
+    conjugates, 1/alpha = adj/N(alpha), and the Gram entry of power-basis
+    coordinates i, j is abs_trace(e_i*e_j*adj)/N(alpha) =
+    w_i*(e_j*adj)_i/N(alpha), w = (1, radicands)."""
+    field, dim = order.field, order.field.degree
+    mul_coords = field.mul_coords
+    adj = alpha.conjugate(1).num
+    for k in range(2, dim):
+        adj = mul_coords(adj, alpha.conjugate(k).num)
+    # adj is over den**(dim-1), so N(alpha) = norm/den**dim and
+    # 1/alpha = adj*den/norm
+    norm = mul_coords(alpha.num, adj)[0]
+    weights = (1,) + field.radicands
+    cols = [mul_coords(tuple(int(i == j) for i in range(dim)), adj) for j in range(dim)]
+    gram = [[w * col[i] for col in cols] for i, w in enumerate(weights)]
+    e, lam = _reverse_ldl(gram)
+    return [c * Fraction(alpha.den, norm) for c in e], lam
+
+
+def _enumerate_roots(order, e, lam):
     """Scaled coordinate tuples of all nonzero x in the order with
-    abs_trace(x*x) <= atr_cap, one per {x, -x} pair (first nonzero
-    coordinate positive).
+    Q(x) = sum_i e[i]*(x_i + sum_{j<i} lam[i][j]*x_j)**2 <= 1 in power-basis
+    coordinates, for rational e[i] > 0 and rational lam; one root per
+    {x, -x} pair (first nonzero coordinate positive).
 
     The walk runs down the rows of the lower-triangular HNF basis: once
-    the multipliers of the earlier columns are fixed, row i's coordinate is
-    offset + y*pivot for the next multiplier y, so every visited point lies
-    in the order.  The cap is kept as the integer remainder
-    cap.numerator*D^2 - cap.denominator*sum(w*x^2)."""
+    the multipliers y_k of the earlier columns are fixed, row i's scaled
+    coordinate is v_i = off + y*pivot for the next multiplier y, so every
+    visited point lies in the order.  Level i needs
+    e[i]*(v_i + c_i)**2 <= rem, with c_i the centre fixed by the earlier
+    coordinates; the remaining terms can all be made zero by the later
+    coordinates, so no point of the ellipsoid is missed (Fincke-Pohst).
+
+    Everything is scaled to integers once: with L_i the common denominator
+    of lam[i], term i is f_i*(L_i*v_i + C_i)**2 over one common
+    denominator S, with C_i = sum_j l_ij*v_j and integers f_i, l_ij, and
+    the bound is the integer S*D**2.  The inner value is A + y*M with
+    A = L_i*off + C_i and M = L_i*pivot > 0, so the exact y-range is
+    -(b + A)//M <= y <= (b - A)//M with b = isqrt(rem // f_i)."""
     D, basis = order.den, order.basis
-    weights = (1,) + order.field.radicands
-    dim = len(basis)
-    q = atr_cap.denominator
+    dim, last = len(basis), len(basis) - 1
+    L = [lcm(*(c.denominator for c in row)) for row in lam]
+    ed = [ei.denominator * Li * Li for ei, Li in zip(e, L)]
+    S = lcm(*ed)
+    f = [S // d * ei.numerator for ei, d in zip(e, ed)]
+    l = [[c.numerator * (Li // c.denominator) for c in row] for row, Li in zip(lam, L)]
+    piv = [basis[i][i] for i in range(dim)]
+    M = [Li * p for Li, p in zip(L, piv)]
+    # row i of the earlier columns
+    cols = [[basis[k][i] for k in range(i)] for i in range(dim)]
     roots = []
     ys, vec = [0] * dim, [0] * dim
 
     def walk(i, rem, leading_zero):
-        if i == dim:
-            if not leading_zero:
-                roots.append(tuple(vec))
+        off = sum(map(mul, ys, cols[i]))
+        A = L[i] * off + sum(map(mul, vec, l[i]))
+        b, Mi, p, fi = isqrt(rem // f[i]), M[i], piv[i], f[i]
+        lo = 0 if leading_zero else -((b + A) // Mi)
+        hi = (b - A) // Mi
+        if i < last - 1:
+            for y in range(lo, hi + 1):
+                ys[i] = y
+                vec[i] = off + y * p
+                t = A + y * Mi
+                walk(i + 1, rem - fi * t * t, leading_zero and y == 0)
             return
-        piv, qw = basis[i][i], q * weights[i]
-        off = sum(ys[j] * basis[j][i] for j in range(i))
-        bound = isqrt(rem // qw)
-        for y in range(0 if leading_zero else -((bound + off) // piv), (bound - off) // piv + 1):
-            ys[i] = y
-            v = vec[i] = off + y * piv
-            walk(i + 1, rem - qw * v * v, leading_zero and y == 0)
+        # the last level inline: its offset and centre move linearly with y
+        head = tuple(vec[:i])
+        off_n = sum(map(mul, ys[:i], cols[last]))
+        C_n = sum(map(mul, head, l[last]))
+        c_n, l_n, L_n = cols[last][i], l[last][i], L[last]
+        f_n, M_n, p_n = f[last], M[last], piv[last]
+        for y in range(lo, hi + 1):
+            t = A + y * Mi
+            b_n = isqrt((rem - fi * t * t) // f_n)
+            v, off_y = off + y * p, off_n + y * c_n
+            A_y = L_n * off_y + C_n + l_n * v
+            lo_n = 1 if leading_zero and y == 0 else -((b_n + A_y) // M_n)
+            roots.extend([head + (v, off_y + z * p_n)
+                          for z in range(lo_n, (b_n - A_y) // M_n + 1)])
 
-    if atr_cap >= 0:
-        walk(0, atr_cap.numerator * D * D, True)
+    walk(0, S * D * D, True)
     return roots
 
 
@@ -137,10 +231,10 @@ def _square_scaled(order, root):
     return tuple(out)
 
 
-def _root_squares(order, atr_cap):
+def _root_squares(order, e, lam):
     """(root, square) scaled pairs of the walk, squared one at a time so
-    that a filter never holds the squares of the whole trace ball."""
-    return ((root, _square_scaled(order, root)) for root in _enumerate_roots(order, atr_cap))
+    that a filter never holds the squares of the whole walk."""
+    return ((root, _square_scaled(order, root)) for root in _enumerate_roots(order, e, lam))
 
 
 def _dominated(pairs, av, k, tnn):
@@ -180,19 +274,27 @@ class SquareSet:
 
 def enumerate_squares_traced(order, atr_cap):
     """All nonzero squares x*x of order elements with abs_trace <= atr_cap."""
-    return SquareSet(order, _root_squares(order, Fraction(atr_cap)))
+    atr_cap = Fraction(atr_cap)
+    if atr_cap <= 0:
+        return SquareSet(order, ())
+    return SquareSet(order, _root_squares(order, *_trace_form(order, atr_cap)))
 
 
 def enumerate_squares_dominated(order, alpha):
     """The set of nonzero squares x*x with alpha - x*x totally nonnegative.
 
-    alpha need not lie in the order: both sides are compared over the
-    common denominator of alpha and the order."""
+    The walk covers the ellipsoid abs_trace(x*x/alpha) <= 1, which holds
+    every dominated square (see _dominance_form), and the exact test
+    keeps the dominated ones.  alpha need not lie in the order: both
+    sides are compared over the common denominator of alpha and the
+    order."""
     if not alpha.is_totally_nonnegative():
         raise NotTotallyNonnegative(f"{alpha} is not totally nonnegative")
+    if alpha.is_zero():
+        return SquareSet(order, ())
     L = lcm(order.den, alpha.den)
     av = tuple(c * (L // alpha.den) for c in alpha.num)
-    pairs = _root_squares(order, alpha.abs_trace())
+    pairs = _root_squares(order, *_dominance_form(order, alpha))
     return SquareSet(order, _dominated(pairs, av, L // order.den, _tnn_test(order.field)))
 
 

@@ -227,7 +227,9 @@ def test_criterion_8_property_suite():
     # oracle equivalence: on one order of each basis type, plus a custom
     # order and two quadratic conductor orders, the search agrees with the
     # level-set profile (no tnn pruning) on every totally nonnegative
-    # element under the cap
+    # element under the cap, both over the trace-ball pool and over the
+    # squares enumerated for the element alone; every length is at most
+    # degree + 3
     oracle_cases = [
         (maximal_order(classify_field(2, 3)), 6),
         (maximal_order(classify_field(2, 5)), 6),
@@ -249,9 +251,12 @@ def test_criterion_8_property_suite():
         for v in _tnn_lattice_points(order, cap, tnn):
             alpha = _unscale(order, v)
             result = length(order, alpha, square_set=pool)
+            alone = length(order, alpha)
+            assert (alone.status, alone.k) == (result.status, result.k), (order.label, str(alpha))
             if result.is_exact:
                 assert oracle.get(v) == result.k, (order.label, str(alpha))
-                assert replay(alpha, result.witness)
+                assert result.k <= order.field.degree + 3, (order.label, str(alpha))
+                assert replay(alpha, result.witness) and replay(alpha, alone.witness)
             else:
                 assert v not in oracle, (order.label, str(alpha))
             checked += 1

@@ -91,6 +91,15 @@ class TestLowerBound:
         assert json.loads(out)["atr_cap"] == "8"
         assert "divided by the degree" in err
 
+    def test_tr_cap_quadratic(self, capsys):
+        # a quadratic order has degree 2, so trace 24 is abs-trace 12
+        code, out, err = run(
+            capsys, "lower-bound", "--order", "quad-half:13", "--tr-cap", "24"
+        )
+        assert code == 0
+        assert json.loads(out)["atr_cap"] == "12"
+        assert "--atr-cap 12 " in err
+
     def test_cache_dir(self, capsys, tmp_path):
         argv = ["lower-bound", "--p", "2", "--q", "3", "--atr-cap", "6",
                 "--cache", str(tmp_path)]

@@ -61,6 +61,47 @@ def box_walk_squares(order, cap):
     return out
 
 
+def trace_ball_dominated(order, alpha):
+    """Reference for the dominated squares: the trace-ball walk under the
+    cap abs_trace(alpha), kept where alpha - square is totally nonnegative."""
+    field, D = order.field, order.den
+    return [
+        (root, sq) for root, sq in enumerate_squares_traced(order, alpha.abs_trace()).scaled
+        if (alpha - Element.make(field, sq, D)).is_totally_nonnegative()
+    ]
+
+
+# one unit per order, for elements with unbalanced conjugates
+UNITS = {
+    (2, 3): "1+sqrt(2)",
+    (2, 5): "1+sqrt(2)",
+    (3, 5): "2+sqrt(3)",
+    (5, 13): "(1+sqrt(5))/2",
+    (21, 33): "(5+sqrt(21))/2",
+    "gen:sqrt(2);sqrt(3)": "1+sqrt(2)",
+    "gen:sqrt(8);sqrt(12)": "3+sqrt(8)",
+    "quad:12": "7+4*sqrt(3)",
+    "quad-half:13": "(3+sqrt(13))/2",
+}
+
+
+def unit_orders():
+    """(order, unit) for one order of each basis type, two gen: orders and
+    two quadratic conductor orders."""
+    out = []
+    for key, unit in UNITS.items():
+        if isinstance(key, tuple):
+            order = maximal_order(classify_field(*key))
+        elif key.startswith("gen:"):
+            order = parse_order_description(key, F23, parse_element)
+        elif key.startswith("quad-half:"):
+            order = quadratic_order_half(int(key[10:]))
+        else:
+            order = quadratic_order(int(key[5:]))
+        out.append((order, parse_element(unit, order.field)))
+    return out
+
+
 def nested_loop_levels(order, cap):
     """Reference level sets: try every (value, square) pair of the last
     level, in base order, and keep the first witness of each new value."""
@@ -136,6 +177,29 @@ class TestSquareEnumeration:
                 scaled = enumerate_squares_traced(order, cap).scaled
                 assert len(set(scaled)) == len(scaled)
                 assert set(scaled) == box_walk_squares(order, cap), (order, cap)
+
+    def test_dominated_matches_trace_ball(self):
+        # the walk over the ellipsoid abs_trace(x*x/alpha) <= 1 against the
+        # trace ball under abs_trace(alpha) with the exact domination test
+        for order, unit in unit_orders():
+            field = order.field
+            assert order.contains(unit)
+            u2 = unit * unit
+            outside = 3 + field.sqrt_of(field.radicands[0]) / 2
+            assert scaled_coords(order, outside) is None
+            alphas = [
+                field.from_rational(Fraction(9, 4)),
+                outside,
+                field.zero(),
+                2 * u2,
+                5 * u2,
+                u2 + 2,
+                u2 * (3 + unit),
+            ]
+            for alpha in alphas:
+                assert alpha.is_totally_nonnegative()
+                got = enumerate_squares_dominated(order, alpha).scaled
+                assert list(got) == trace_ball_dominated(order, alpha), (order, alpha)
 
     def test_scaled_coords(self):
         x = (F23.sqrt_of(2) + F23.sqrt_of(6)) / 2
