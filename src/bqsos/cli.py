@@ -24,7 +24,7 @@ from .decomposition import (
 )
 from .orders import parse_order_description, quadratic_order, quadratic_order_half
 from .parser import parse_element
-from .verification import Budget, BudgetExceeded, FAMILIES, sweep, verify_table
+from .verification import Budget, BudgetExceeded, FAMILIES, LEMMA_ITEMS, sweep, verify_table
 
 STATUS_NAMES = {
     EXACT: "Exact",
@@ -71,7 +71,7 @@ def _resolve_target(args, parser):
     if args.p is None or args.q is None:
         parser.error("--p and --q are required unless --order is quad:N form")
     field = classify_field(args.p, args.q)
-    order = parse_order_description(desc, field, parse_element=parse_element)
+    order = parse_order_description(desc, field)
     return field, order
 
 
@@ -83,18 +83,25 @@ def _fraction(text):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
 
 
+def _int_range(text):
+    """argparse type for an inclusive integer range such as 17..21."""
+    lo, _, hi = text.partition("..")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer range A..B: {text!r}") from None
+
+
 def _cap_from_args(args, field):
     if args.atr_cap is not None:
         return args.atr_cap
-    if args.tr_cap is not None:
-        cap = args.tr_cap / field.degree
-        print(
-            f"note: --tr-cap {args.tr_cap} interpreted as --atr-cap {cap}"
-            " (trace divided by the degree)",
-            file=sys.stderr,
-        )
-        return cap
-    return None
+    cap = args.tr_cap / field.degree
+    print(
+        f"note: --tr-cap {args.tr_cap} interpreted as --atr-cap {cap}"
+        " (trace divided by the degree)",
+        file=sys.stderr,
+    )
+    return cap
 
 
 def cmd_classify(args, parser):
@@ -126,8 +133,6 @@ def cmd_length(args, parser):
 def cmd_lower_bound(args, parser):
     field, order = _resolve_target(args, parser)
     cap = _cap_from_args(args, field)
-    if cap is None:
-        parser.error("one of --atr-cap or --tr-cap is required")
     n, witnesses = pythagoras_lower_bound(order, cap, cache_dir=args.cache)
     _emit({
         "field": _field_json(field),
@@ -148,8 +153,6 @@ def cmd_lower_bound(args, parser):
 def cmd_profile(args, parser):
     field, order = _resolve_target(args, parser)
     cap = _cap_from_args(args, field)
-    if cap is None:
-        parser.error("one of --atr-cap or --tr-cap is required")
     rows = length_profile(order, cap, cache_dir=args.cache)
     if args.format == "csv":
         out = sys.stdout
@@ -203,10 +206,6 @@ def cmd_verify(args, parser):
 
 
 def cmd_sweep(args, parser):
-    def parse_range(text):
-        lo, _, hi = text.partition("..")
-        return int(lo), int(hi)
-
     def emit(rows):
         for row in rows:
             json.dump(row, sys.stdout)
@@ -216,8 +215,8 @@ def cmd_sweep(args, parser):
     try:
         rows = sweep(
             args.family,
-            parse_range(args.m_range),
-            parse_range(args.s_range),
+            args.m_range,
+            args.s_range,
             budget=_budget_from_args(args),
             jobs=args.jobs,
             resume_path=args.resume,
@@ -247,7 +246,7 @@ def build_parser():
             )
 
     def add_cap_args(p):
-        caps = p.add_mutually_exclusive_group()
+        caps = p.add_mutually_exclusive_group(required=True)
         caps.add_argument("--atr-cap", type=_fraction, default=None,
                           help="cap on trace/degree, as an exact rational")
         caps.add_argument("--tr-cap", type=_fraction, default=None,
@@ -278,7 +277,8 @@ def build_parser():
     p = sub.add_parser("verify", help="recompute a table of known lengths")
     p.add_argument("--table", required=True,
                    choices=("lemma4.3", "prop4.4", "thm3.1"))
-    p.add_argument("--item", type=int, default=None)
+    p.add_argument("--item", type=int, default=None, choices=sorted(LEMMA_ITEMS),
+                   help="one item of lemma 4.3")
     p.add_argument("--full", action="store_true",
                    help="full published ranges and caps")
     p.add_argument("--s-max", type=int, default=None)
@@ -288,8 +288,8 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="run a witness family over a field grid")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--m-range", required=True, metavar="A..B")
-    p.add_argument("--s-range", required=True, metavar="C..D")
+    p.add_argument("--m-range", required=True, type=_int_range, metavar="A..B")
+    p.add_argument("--s-range", required=True, type=_int_range, metavar="C..D")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--resume", default=None, help="JSON-lines file of done rows")
     p.add_argument("--time-budget", type=float, default=None)

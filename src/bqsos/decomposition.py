@@ -12,10 +12,11 @@ alpha gives sigma(x)**2/sigma(alpha) <= 1 at each embedding sigma.  An
 exact total-nonnegativity test then keeps the dominated squares.  The
 form is scaled to integers once per walk, and each coordinate's range
 comes from an integer square root, so no float decides anything.
-Hot paths work on integer coordinate tuples scaled by the order's common
-denominator; every comparison is exact.  Level sets are extended on those
-tuples packed into single ints, adding to each value only the suffix of
-the trace-sorted squares that stays under the cap.
+Hot paths work on the order's scaled coordinates, integer tuples over its
+common denominator (see bqsos.orders); every comparison is exact.  Level
+sets are extended on those tuples packed into single ints, adding to each
+value only the suffix of the trace-sorted squares that stays under the
+cap.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from fractions import Fraction
 from math import floor, isqrt, lcm
 from operator import mul
 
-from .fields import Element, FieldError, FieldMismatch, SIGN_PATTERNS, biquad_sign, quad_sign
-from .orders import OrderLattice
+from .fields import Element, FieldError, SIGN_PATTERNS, biquad_sign, quad_sign
 
 
 class DecompositionError(FieldError):
@@ -81,21 +81,6 @@ def _tnn_test(field):
 
 def _sub(x, y):
     return tuple(a - b for a, b in zip(x, y))
-
-
-def scaled_coords(order, x):
-    """Coordinates of x times order.den, or None if x is not in the order."""
-    if x.field != order.field:
-        raise FieldMismatch(f"{x.field} vs {order.field}")
-    if order.den % x.den:
-        return None
-    k = order.den // x.den
-    v = tuple(c * k for c in x.num)
-    return v if order.contains_scaled(v) else None
-
-
-def _unscale(order, v):
-    return Element.make(order.field, v, order.den)
 
 
 def _reverse_ldl(gram):
@@ -219,22 +204,11 @@ def _enumerate_roots(order, e, lam):
     return roots
 
 
-def _square_scaled(order, root):
-    """Scaled coordinates of root**2 given scaled coordinates of root."""
-    D = order.den
-    u = order.field.mul_coords(root, root)
-    out = []
-    for c in u:
-        if c % D:
-            raise DecompositionError("square left the order lattice")
-        out.append(c // D)
-    return tuple(out)
-
-
 def _root_squares(order, e, lam):
     """(root, square) scaled pairs of the walk, squared one at a time so
     that a filter never holds the squares of the whole walk."""
-    return ((root, _square_scaled(order, root)) for root in _enumerate_roots(order, e, lam))
+    mul = order.mul_scaled
+    return ((root, mul(root, root)) for root in _enumerate_roots(order, e, lam))
 
 
 def _dominated(pairs, av, k, tnn):
@@ -261,7 +235,7 @@ class SquareSet:
     @cached_property
     def squares(self):
         return tuple(
-            (_unscale(self.order, root), _unscale(self.order, sq)) for root, sq in self.scaled
+            (self.order.unscale(root), self.order.unscale(sq)) for root, sq in self.scaled
         )
 
     def __len__(self):
@@ -384,7 +358,7 @@ def length(order, alpha, max_n=None, square_set=None):
         return done(EXACT, 0, ())
     if not alpha.is_totally_nonnegative():
         return done(NOT_SUM_OF_SQUARES)
-    av = scaled_coords(order, alpha)
+    av = order.scaled(alpha)
     if av is None:
         return done(NOT_SUM_OF_SQUARES)
 
@@ -403,7 +377,7 @@ def length(order, alpha, max_n=None, square_set=None):
     for k in range(1, limit + 1):
         roots = _dfs_search(av, squares, k, tnn, order.den, counter)
         if roots is not None:
-            witness = tuple(_unscale(order, r) for r in roots)
+            witness = tuple(map(order.unscale, roots))
             return done(EXACT, len(witness), witness)
 
     if max_n is not None and max_n < cutoff:
@@ -502,7 +476,7 @@ class _Elements(dict):
         self.order = order
 
     def __missing__(self, v):
-        x = self[v] = _unscale(self.order, v)
+        x = self[v] = self.order.unscale(v)
         return x
 
 
@@ -515,7 +489,7 @@ def pythagoras_lower_bound(order, atr_cap, cache_dir=None):
     n = len(levels)
     roots_of = _Elements(order)
     witnesses = [
-        (_unscale(order, v), tuple(roots_of[r] for r in roots))
+        (order.unscale(v), tuple(roots_of[r] for r in roots))
         for v, roots in sorted(levels[-1].items())
     ]
     return n, witnesses
@@ -541,7 +515,7 @@ def length_profile(order, atr_cap, cache_dir=None):
         for v, roots in sorted(level.items()):
             rows.append(
                 ProfileRow(
-                    element=_unscale(order, v),
+                    element=order.unscale(v),
                     length=k,
                     witness=tuple(roots_of[r] for r in roots),
                 )

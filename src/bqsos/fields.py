@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 
 class FieldError(Exception):
@@ -504,38 +504,3 @@ class Element:
 
     def __repr__(self):
         return f"<{self} in {self.field}>"
-
-
-@dataclass(frozen=True)
-class QuadraticOrderDescriptor:
-    """Bookkeeping for a quadratic order Z[sqrt(N)] or Z[(1+sqrt(N))/2]."""
-
-    N: int
-    half: bool
-
-    @property
-    def f(self):
-        return squarefree_part(self.N)[0]
-
-    @property
-    def n(self):
-        return squarefree_part(self.N)[1]
-
-    def __post_init__(self):
-        if self.N <= 1:
-            raise OutOfRange(f"N must exceed 1, got {self.N}")
-        if isqrt(self.N) ** 2 == self.N:
-            raise SquareN(f"N must not be a perfect square, got {self.N}")
-        if self.half and self.N % 4 != 1:
-            raise BadCongruence(f"half form needs N = 1 mod 4, got N = {self.N}")
-
-    def label(self):
-        return f"Z[(1+sqrt({self.N}))/2]" if self.half else f"Z[sqrt({self.N})]"
-
-
-class SquareN(FieldError):
-    pass
-
-
-class BadCongruence(FieldError):
-    pass

@@ -1,23 +1,30 @@
 """Orders: full-rank multiplicatively closed lattices in a quadratic or
-biquadratic field, with exact membership tests via a Hermite normal form."""
+biquadratic field, with exact membership tests via a Hermite normal form.
+
+This module alone knows how a lattice is stored: integer columns in
+Hermite normal form over one common denominator `den`, one canonical form
+per lattice (see `_canonical`).  An order converts Elements to and from
+its scaled coordinates, the power-basis coordinates times `den`
+(`OrderLattice.scaled`, `OrderLattice.unscale`), and multiplies in them
+(`OrderLattice.mul_scaled`), so the hot paths elsewhere work on integer
+tuples without knowing the format.
+"""
 
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 from .fields import (
-    BadCongruence,
-    BiquadraticField,
     Element,
     FieldError,
     FieldMismatch,
+    OutOfRange,
     QuadraticField,
-    QuadraticOrderDescriptor,
-    SquareN,
     squarefree_part,
 )
+from .parser import parse_element
 
 
 class OrderError(FieldError):
@@ -33,6 +40,14 @@ class NotClosedWithinBudget(OrderError):
 
 
 class NotAnOrder(OrderError):
+    pass
+
+
+class SquareN(OrderError):
+    pass
+
+
+class BadCongruence(OrderError):
     pass
 
 
@@ -82,81 +97,95 @@ def hnf_columns(cols, dim):
     return [tuple(c) for c in basis]
 
 
+def _canonical(columns, dim):
+    """(den, basis) of the lattice spanned by rational columns (ints or
+    Fractions): the HNF of the integer columns over their common
+    denominator, with den and basis divided by their gcd, so that equal
+    lattices give equal pairs."""
+    den = lcm(*(v.denominator for col in columns for v in col))
+    basis = hnf_columns(
+        [[v.numerator * (den // v.denominator) for v in col] for col in columns], dim
+    )
+    g = gcd(den, *(v for col in basis for v in col))
+    return den // g, tuple(tuple(v // g for v in col) for col in basis)
+
+
 class OrderLattice:
     """A subring lattice of full rank, canonically represented.
 
     The lattice is the set of integer combinations of `basis` columns;
     internally columns are integer vectors over the common denominator `den`.
+    A full-rank HNF basis is lower triangular, so column i has its pivot in
+    row i.
     """
 
-    def __init__(self, field, columns, label, _skip_checks=False):
+    def __init__(self, field, columns, label):
         self.field = field
-        dim = field.degree
-        den = 1
-        for col in columns:
-            for v in col:
-                den = den * Fraction(v).denominator // gcd(den, Fraction(v).denominator)
-        int_cols = [
-            [int(Fraction(v) * den) for v in col] for col in columns
-        ]
-        basis = hnf_columns(int_cols, dim)
-        if len(basis) != dim:
-            raise NotFullRank(
-                f"lattice has rank {len(basis)}, expected {dim}"
-            )
-        # Canonicalize the scale.
-        g = den
-        for col in basis:
-            for v in col:
-                g = gcd(g, v)
-        if g > 1:
-            basis = [tuple(v // g for v in col) for col in basis]
-            den //= g
-        self.den = den
-        self.basis = tuple(basis)
         self.label = label
-        self._pivot_rows = tuple(
-            next(i for i in range(dim) if col[i] != 0) for col in self.basis
-        )
-        if not _skip_checks:
-            if not self.contains(field.one()):
-                raise NotAnOrder("lattice does not contain 1")
-            elems = self.basis_elements()
-            for x in elems:
-                for y in elems:
-                    if not self.contains(x * y):
-                        raise NotAnOrder(
-                            f"lattice not closed under multiplication: {x} * {y}"
-                        )
+        dim = field.degree
+        self.den, self.basis = _canonical(columns, dim)
+        if len(self.basis) != dim:
+            raise NotFullRank(f"lattice has rank {len(self.basis)}, expected {dim}")
+        if not self.contains(field.one()):
+            raise NotAnOrder("lattice does not contain 1")
+        for i, x in enumerate(self.basis):
+            for y in self.basis[i:]:
+                if not self.contains_scaled(self.mul_scaled(x, y)):
+                    raise NotAnOrder(
+                        "lattice not closed under multiplication: "
+                        f"{self.unscale(x)} * {self.unscale(y)}"
+                    )
 
     def basis_elements(self):
-        return tuple(
-            Element.make(self.field, col, self.den) for col in self.basis
-        )
+        return tuple(map(self.unscale, self.basis))
+
+    def scaled(self, x):
+        """The coordinates of x times den, or None if x is not in the lattice."""
+        if x.field != self.field:
+            raise FieldMismatch(f"{x.field} vs {self.field}")
+        if self.den % x.den:
+            return None
+        k = self.den // x.den
+        v = tuple(c * k for c in x.num)
+        return v if self.contains_scaled(v) else None
+
+    def unscale(self, v):
+        """The Element with coordinates v / den."""
+        return Element.make(self.field, v, self.den)
+
+    def mul_scaled(self, x, y):
+        """Scaled coordinates of the product of the elements with scaled
+        coordinates x and y.
+
+        No membership test: the product of two order elements lies in the
+        order, and the closure check tests its products itself.  A product
+        that is not even integral over den raises NotAnOrder."""
+        D = self.den
+        out = []
+        for c in self.field.mul_coords(x, y):
+            if c % D:
+                raise NotAnOrder(
+                    "lattice not closed under multiplication: "
+                    f"{self.unscale(x)} * {self.unscale(y)}"
+                )
+            out.append(c // D)
+        return tuple(out)
 
     def contains_scaled(self, vec):
         """Membership of the element with coordinates vec / self.den."""
         v = list(vec)
-        for col, row in zip(self.basis, self._pivot_rows):
-            piv = col[row]
-            if v[row] % piv:
+        for i, col in enumerate(self.basis):
+            piv = col[i]
+            if v[i] % piv:
                 return False
-            y = v[row] // piv
+            y = v[i] // piv
             if y:
-                for i in range(row, len(v)):
-                    v[i] -= y * col[i]
+                for k in range(i, len(v)):
+                    v[k] -= y * col[k]
         return not any(v)
 
     def contains(self, x):
-        if x.field != self.field:
-            raise FieldMismatch(f"{x.field} vs {self.field}")
-        if self.den % x.den:
-            return False
-        k = self.den // x.den
-        return self.contains_scaled([v * k for v in x.num])
-
-    def element(self, num, den=1):
-        return Element.make(self.field, num, den)
+        return self.scaled(x) is not None
 
     def basis_hash(self):
         payload = repr((self.field.radicands, self.den, self.basis)).encode()
@@ -190,56 +219,51 @@ def maximal_order(field):
 
 def custom_order(field, generators, label="custom"):
     """Smallest multiplication-closed lattice containing 1 and the generators."""
-    elems = [field.one()] + list(generators)
-    for x in elems:
+    for x in generators:
         if x.field != field:
             raise FieldMismatch(f"{x.field} vs {field}")
-    dim = field.degree
+    dim, mul = field.degree, field.mul_coords
+    cols = [x.coords() for x in (field.one(), *generators)]
     current = None
     for _ in range(CLOSURE_ROUNDS):
-        den = 1
-        for x in elems:
-            den = den * x.den // gcd(den, x.den)
-        cols = [[v * (den // x.den) for v in x.num] for x in elems]
-        basis = hnf_columns(cols, dim)
-        g = den
-        for col in basis:
-            for v in col:
-                g = gcd(g, v)
-        if g > 1:
-            basis = [tuple(v // g for v in col) for col in basis]
-            den //= g
-        key = (den, tuple(basis))
-        basis_elems = [Element.make(field, col, den) for col in basis]
-        if key == current:
+        den, basis = _canonical(cols, dim)
+        cols = [[Fraction(v, den) for v in col] for col in basis]
+        if (den, basis) == current:
             if len(basis) != dim:
                 raise NotFullRank(
                     f"generators span rank {len(basis)}, expected {dim}"
                 )
-            return OrderLattice(field, [x.coords() for x in basis_elems], label)
-        current = key
-        products = [x * y for i, x in enumerate(basis_elems)
-                    for y in basis_elems[i:]]
-        elems = basis_elems + products
+            return OrderLattice(field, cols, label)
+        current = den, basis
+        cols += [[Fraction(v, den * den) for v in mul(x, y)]
+                 for i, x in enumerate(basis) for y in basis[i:]]
     raise NotClosedWithinBudget(
         f"lattice did not close under multiplication in {CLOSURE_ROUNDS} rounds"
     )
 
 
+def _conductor_and_radicand(N):
+    """(f, n) with N = f**2 * n and n squarefree, for a non-square N > 1."""
+    if N <= 1:
+        raise OutOfRange(f"N must exceed 1, got {N}")
+    if isqrt(N) ** 2 == N:
+        raise SquareN(f"N must not be a perfect square, got {N}")
+    return squarefree_part(N)
+
+
 def quadratic_order(N):
     """The order Z[sqrt(N)] for a non-square N > 1."""
-    desc = QuadraticOrderDescriptor(N=N, half=False)
-    field = QuadraticField(desc.n)
-    cols = [(1, 0), (0, desc.f)]
-    return OrderLattice(field, cols, desc.label())
+    f, n = _conductor_and_radicand(N)
+    return OrderLattice(QuadraticField(n), [(1, 0), (0, f)], f"Z[sqrt({N})]")
 
 
 def quadratic_order_half(N):
     """The order Z[(1+sqrt(N))/2] for N = 1 mod 4, N > 1 non-square."""
-    desc = QuadraticOrderDescriptor(N=N, half=True)
-    field = QuadraticField(desc.n)
-    cols = [(1, 0), (Fraction(1, 2), Fraction(desc.f, 2))]
-    return OrderLattice(field, cols, desc.label())
+    f, n = _conductor_and_radicand(N)
+    if N % 4 != 1:
+        raise BadCongruence(f"half form needs N = 1 mod 4, got N = {N}")
+    cols = [(1, 0), (Fraction(1, 2), Fraction(f, 2))]
+    return OrderLattice(QuadraticField(n), cols, f"Z[(1+sqrt({N}))/2]")
 
 
 def quadratic_maximal_order(n):
@@ -247,12 +271,9 @@ def quadratic_maximal_order(n):
     return maximal_order(QuadraticField(n))
 
 
-def parse_order_description(desc, field, parse_element=None):
-    """Order from its CLI text form: maximal, quad:N, quad-half:N or gen:...;...
-
-    `parse_element` is needed only for the gen: form; it maps an expression
-    string to an Element of `field`.
-    """
+def parse_order_description(desc, field):
+    """Order from its CLI text form: maximal, quad:N, quad-half:N or
+    gen:EXPR;EXPR;..., each EXPR an element of `field` (see bqsos.parser)."""
     desc = desc.strip()
     if desc == "maximal":
         return maximal_order(field)
@@ -261,8 +282,6 @@ def parse_order_description(desc, field, parse_element=None):
     if desc.startswith("quad-half:"):
         return quadratic_order_half(int(desc[10:]))
     if desc.startswith("gen:"):
-        if parse_element is None:
-            raise OrderError("no element parser supplied for gen: order")
         gens = [parse_element(part, field)
                 for part in desc[4:].split(";") if part.strip()]
         return custom_order(field, gens, label=desc)

@@ -662,9 +662,11 @@ def verify_table(table, item=None, scaled=True, budget=None, s_max=None):
         return run_claims(claims, budget)
 
     if table == "lemma4.3":
+        if item is not None and item not in LEMMA_ITEMS:
+            raise ValueError(f"unknown lemma 4.3 item {item!r}")
         cap = s_max if s_max is not None else (50 if scaled else None)
         claims = []
-        for it in [item] if item else sorted(LEMMA_ITEMS):
+        for it in [item] if item is not None else sorted(LEMMA_ITEMS):
             family, pairs = _lemma_item_pairs(it, s_max=cap)
             claims += [(family, pair, {"item": it}) for pair in pairs]
         return run_claims(claims, budget)

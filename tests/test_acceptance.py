@@ -16,17 +16,14 @@ from bqsos.orders import (
     quadratic_order,
     quadratic_order_half,
 )
-from bqsos.parser import parse_element
 from bqsos.decomposition import (
     _tnn_test,
-    _unscale,
     enumerate_squares_dominated,
     enumerate_squares_traced,
     is_sum_of_n_squares,
     length,
     length_profile,
     pythagoras_lower_bound,
-    scaled_coords,
 )
 from bqsos.verification import (
     PROP44_ENTRIES,
@@ -236,7 +233,7 @@ def test_criterion_8_property_suite():
         (maximal_order(classify_field(3, 5)), 6),
         (maximal_order(classify_field(5, 13)), 6),
         (maximal_order(classify_field(21, 33)), 6),
-        (parse_order_description("gen:sqrt(2);sqrt(3)", f23, parse_element), 6),
+        (parse_order_description("gen:sqrt(2);sqrt(3)", f23), 6),
         (quadratic_order(12), 12),
         (quadratic_order_half(13), 12),
     ]
@@ -246,10 +243,10 @@ def test_criterion_8_property_suite():
         zero = (0,) * order.field.degree
         oracle = {zero: 0}
         for row in length_profile(order, cap):
-            oracle[scaled_coords(order, row.element)] = row.length
+            oracle[order.scaled(row.element)] = row.length
         pool = enumerate_squares_traced(order, cap)
         for v in _tnn_lattice_points(order, cap, tnn):
-            alpha = _unscale(order, v)
+            alpha = order.unscale(v)
             result = length(order, alpha, square_set=pool)
             alone = length(order, alpha)
             assert (alone.status, alone.k) == (result.status, result.k), (order.label, str(alpha))

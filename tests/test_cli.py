@@ -140,6 +140,7 @@ class TestCapArguments:
         ("--atr-cap", "1/0"),
         ("--atr-cap", "abc"),
         ("--atr-cap", "4", "--tr-cap", "8"),
+        (),
     ])
     def test_usage_error(self, capsys, caps):
         with pytest.raises(SystemExit) as exc:
@@ -180,6 +181,13 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["failures"] == 0
 
+    @pytest.mark.parametrize("item", ["0", "99"])
+    def test_unknown_item_is_usage_error(self, capsys, item):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--table", "lemma4.3", "--item", item, "--s-max", "9"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_zero_time_budget_prints_partial_rows(self, capsys):
         code, out, err = run(
             capsys, "verify", "--table", "thm3.1", "--time-budget", "0"
@@ -209,6 +217,17 @@ class TestSweep:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert [(r["p"], r["q"]) for r in rows] == [(17, 19)]
         assert "node budget" in err
+
+    @pytest.mark.parametrize("ranges", [
+        ("17", "18..19"),
+        ("17..17", "18..x"),
+    ])
+    def test_malformed_range_is_usage_error(self, capsys, ranges):
+        m_range, s_range = ranges
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--family", "MIs1", "--m-range", m_range, "--s-range", s_range])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_quadratic_family_on_biquadratic_grid(self, capsys):
         for family in ("QuadraticObs32", "QuadraticThm31"):

@@ -27,7 +27,6 @@ from bqsos.decomposition import (
     length_profile,
     load_level_cache,
     pythagoras_lower_bound,
-    scaled_coords,
 )
 
 
@@ -57,7 +56,7 @@ def box_walk_squares(order, cap):
         if not any(v) or next(c for c in v if c) < 0 or not order.contains_scaled(v):
             continue
         root = Element.make(field, v, D)
-        out.add((v, scaled_coords(order, root * root)))
+        out.add((v, order.scaled(root * root)))
     return out
 
 
@@ -93,7 +92,7 @@ def unit_orders():
         if isinstance(key, tuple):
             order = maximal_order(classify_field(*key))
         elif key.startswith("gen:"):
-            order = parse_order_description(key, F23, parse_element)
+            order = parse_order_description(key, F23)
         elif key.startswith("quad-half:"):
             order = quadratic_order_half(int(key[10:]))
         else:
@@ -169,7 +168,7 @@ class TestSquareEnumeration:
         # the HNF walk against the power-basis box, filtered by membership
         orders = [maximal_order(classify_field(p, q))
                   for p, q in ((2, 3), (2, 5), (3, 5), (5, 13), (21, 33))]
-        orders += [parse_order_description(desc, F23, parse_element)
+        orders += [parse_order_description(desc, F23)
                    for desc in ("gen:sqrt(2);sqrt(3)", "gen:sqrt(8);sqrt(12)")]
         orders += [quadratic_order(12), quadratic_order_half(13)]
         for order in orders:
@@ -186,7 +185,7 @@ class TestSquareEnumeration:
             assert order.contains(unit)
             u2 = unit * unit
             outside = 3 + field.sqrt_of(field.radicands[0]) / 2
-            assert scaled_coords(order, outside) is None
+            assert order.scaled(outside) is None
             alphas = [
                 field.from_rational(Fraction(9, 4)),
                 outside,
@@ -203,8 +202,8 @@ class TestSquareEnumeration:
 
     def test_scaled_coords(self):
         x = (F23.sqrt_of(2) + F23.sqrt_of(6)) / 2
-        assert scaled_coords(BQ23, x) == (0, 1, 0, 1)
-        assert scaled_coords(BQ23, F23.sqrt_of(2) / 2) is None
+        assert BQ23.scaled(x) == (0, 1, 0, 1)
+        assert BQ23.scaled(F23.sqrt_of(2) / 2) is None
 
 
 class TestLength:
@@ -333,7 +332,7 @@ class TestLevelSets:
         # both sides of a power of two, where the packing base doubles
         orders = [maximal_order(classify_field(p, q))
                   for p, q in ((2, 3), (2, 5), (3, 5), (5, 13), (21, 33))]
-        orders.append(parse_order_description("gen:sqrt(8);sqrt(12)", F23, parse_element))
+        orders.append(parse_order_description("gen:sqrt(8);sqrt(12)", F23))
         orders += [quadratic_order(12), quadratic_order_half(13)]
         for order in orders:
             for cap in (1, Fraction(7, 2), Fraction(15, 2), 8):

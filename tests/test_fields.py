@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bqsos.fields import (
-    BadCongruence,
     BiquadraticField,
     Element,
     EqualGenerators,
@@ -13,8 +12,6 @@ from bqsos.fields import (
     OutOfRange,
     FieldMismatch,
     QuadraticField,
-    QuadraticOrderDescriptor,
-    SquareN,
     classify_field,
     is_squarefree,
     quad_sign,
@@ -191,14 +188,6 @@ class TestElement:
         assert 3 + w * w + (1 + w) ** 2 == 12 + 2 * q.sqrt_of(13)
         with pytest.raises(NotSquarefree):
             QuadraticField(12)
-
-    def test_order_descriptor(self):
-        d = QuadraticOrderDescriptor(N=8, half=False)
-        assert (d.f, d.n) == (2, 2)
-        with pytest.raises(BadCongruence):
-            QuadraticOrderDescriptor(N=8, half=True)
-        with pytest.raises(SquareN):
-            QuadraticOrderDescriptor(N=9, half=False)
 
 
 class TestRingAxioms:

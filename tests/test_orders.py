@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from bqsos.fields import FieldMismatch, QuadraticField, classify_field
+from bqsos.fields import FieldMismatch, OutOfRange, QuadraticField, classify_field
 from bqsos.orders import (
+    BadCongruence,
     NotAnOrder,
     NotFullRank,
     OrderError,
     OrderLattice,
+    SquareN,
     custom_order,
     hnf_columns,
     maximal_order,
@@ -17,7 +19,19 @@ from bqsos.orders import (
     quadratic_order_half,
     root_product_order,
 )
-from bqsos.parser import parse_element
+
+
+def sample_orders():
+    """Maximal orders of every basis type, two gen: orders, two quadratic
+    conductor orders and a root-product sublattice order."""
+    f23 = classify_field(2, 3)
+    orders = [maximal_order(classify_field(p, q))
+              for p, q in [(2, 3), (10, 17), (17, 19), (5, 13), (17, 21), (3, 5), (21, 33)]]
+    orders += [parse_order_description(desc, f23)
+               for desc in ("gen:sqrt(2);sqrt(3)", "gen:sqrt(8);sqrt(12)")]
+    orders += [quadratic_order(12), quadratic_order_half(13)]
+    orders.append(root_product_order(classify_field(35, 55), 5, 7, 11))
+    return orders
 
 
 class TestHnf:
@@ -61,11 +75,18 @@ class TestMaximalOrder:
         assert not o.contains((1 + f.sqrt_of(65)) / 4)
 
     def test_closed_under_multiplication(self):
-        for p, q in [(2, 3), (10, 17), (17, 19), (5, 13), (17, 21)]:
-            o = maximal_order(classify_field(p, q))
+        # Element products: the reference for the integer closure check
+        for o in sample_orders():
             for x in o.basis_elements():
                 for y in o.basis_elements():
-                    assert o.contains(x * y)
+                    assert o.contains(x * y), (o, x, y)
+
+    def test_mul_scaled_matches_element_product(self):
+        for o in sample_orders():
+            for x in o.basis:
+                for y in o.basis:
+                    got = o.unscale(o.mul_scaled(x, y))
+                    assert got == o.unscale(x) * o.unscale(y), (o, x, y)
 
 
 class TestQuadraticOrders:
@@ -81,6 +102,16 @@ class TestQuadraticOrders:
         w = (1 + o.field.sqrt_of(17)) / 2
         assert o.contains(w)
         assert not o.contains(o.field.sqrt_of(17) / 2)
+
+    def test_order_descriptor(self):
+        o = quadratic_order(8)
+        assert (o.field.n, o.basis) == (2, ((1, 0), (0, 2)))
+        with pytest.raises(BadCongruence):
+            quadratic_order_half(8)
+        with pytest.raises(SquareN):
+            quadratic_order(9)
+        with pytest.raises(OutOfRange):
+            quadratic_order(1)
 
 
 class TestCustomOrder:
@@ -113,6 +144,14 @@ class TestCustomOrder:
                 (0, 0, 1, 0), (0, 0, 0, 1)]
         with pytest.raises(NotAnOrder):
             OrderLattice(f, cols, "bad")
+        # products integral but outside: sqrt(3)*sqrt(6) = 3*sqrt(2)
+        cols = [(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+        with pytest.raises(NotAnOrder):
+            OrderLattice(f, cols, "bad")
+        # closed under multiplication, but without 1
+        cols = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]
+        with pytest.raises(NotAnOrder, match="contain 1"):
+            OrderLattice(f, cols, "bad")
 
 
 class TestSublatticeOrders:
@@ -139,9 +178,7 @@ class TestParseOrderDescription:
         assert o.label == "Z[sqrt(8)]"
         o = parse_order_description("quad-half:17", None)
         assert o.field.n == 17
-        o = parse_order_description(
-            "gen:sqrt(2);sqrt(3)", f, parse_element=parse_element
-        )
+        o = parse_order_description("gen:sqrt(2);sqrt(3)", f)
         assert o.contains(f.sqrt_of(6))
 
     def test_bad_description(self):

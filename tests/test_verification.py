@@ -152,6 +152,11 @@ class TestVerifyTable:
         with pytest.raises(ValueError):
             verify_table("nope")
 
+    @pytest.mark.parametrize("item", [0, 99])
+    def test_unknown_item(self, item):
+        with pytest.raises(ValueError, match="item"):
+            verify_table("lemma4.3", item=item, s_max=9)
+
     def test_budget_exceeded_keeps_partial_rows(self):
         budget = Budget(seconds=0.0)
         with pytest.raises(BudgetExceeded) as exc:
