@@ -191,6 +191,8 @@ def cmd_verify(args, parser):
         _emit({"table": args.table, "rows": rows, "failures": failures})
         return failures
 
+    if args.table != "lemma4.3" and (args.item is not None or args.s_max is not None):
+        parser.error(f"--item and --s-max apply only to --table lemma4.3, not {args.table}")
     try:
         rows = verify_table(
             args.table,
@@ -278,10 +280,11 @@ def build_parser():
     p.add_argument("--table", required=True,
                    choices=("lemma4.3", "prop4.4", "thm3.1"))
     p.add_argument("--item", type=int, default=None, choices=sorted(LEMMA_ITEMS),
-                   help="one item of lemma 4.3")
+                   help="one item of lemma 4.3 (that table only)")
     p.add_argument("--full", action="store_true",
                    help="full published ranges and caps")
-    p.add_argument("--s-max", type=int, default=None)
+    p.add_argument("--s-max", type=int, default=None,
+                   help="largest s for the open-ended item of lemma 4.3")
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--node-budget", type=int, default=None)
     p.set_defaults(func=cmd_verify)

@@ -8,10 +8,12 @@ basis, so every visited point lies in the order.  The walk is bounded by
 a positive-definite rational quadratic form Q(x) <= 1 (Fincke-Pohst):
 the trace form abs_trace(x*x)/cap for the squares under a trace cap, and
 abs_trace(x*x/alpha) for the squares dominated by alpha, since x*x <=
-alpha gives sigma(x)**2/sigma(alpha) <= 1 at each embedding sigma.  An
-exact total-nonnegativity test then keeps the dominated squares.  The
-form is scaled to integers once per walk, and each coordinate's range
-comes from an integer square root, so no float decides anything.
+alpha gives sigma(x)**2/sigma(alpha) <= 1 at each embedding sigma.  The
+field's exact total-nonnegativity predicate (`tnn_test`, see
+bqsos.fields) then keeps the dominated squares, and the search prunes
+with the same predicate.  The form is scaled to integers once per walk,
+and each coordinate's range comes from an integer square root, so no
+float decides anything.
 Hot paths work on the order's scaled coordinates, integer tuples over its
 common denominator (see bqsos.orders); every comparison is exact.  Level
 sets are extended on those tuples packed into single ints, adding to each
@@ -31,7 +33,7 @@ from fractions import Fraction
 from math import floor, isqrt, lcm
 from operator import mul
 
-from .fields import Element, FieldError, SIGN_PATTERNS, biquad_sign, quad_sign
+from .fields import Element, FieldError
 
 
 class DecompositionError(FieldError):
@@ -51,32 +53,6 @@ NOT_SUM_OF_SQUARES = "not_sum_of_squares"
 UNDETERMINED = "undetermined"
 
 CACHE_VERSION = 1
-
-
-def _tnn_test(field):
-    """A fast total-nonnegativity predicate on scaled coordinate tuples."""
-    if field.degree == 2:
-        n = field.n
-
-        def tnn(v):
-            a, b = v
-            if a < 0:
-                return False
-            return quad_sign(a, b, n) >= 0 and quad_sign(a, -b, n) >= 0
-
-    else:
-        m, s, t0 = field.m, field.s, field.t0
-
-        def tnn(v):
-            a, b, c, d = v
-            if a < 0:
-                return False
-            for em, es, et in SIGN_PATTERNS:
-                if biquad_sign(a, em * b, es * c, et * d, m, s, t0) < 0:
-                    return False
-            return True
-
-    return tnn
 
 
 def _sub(x, y):
@@ -125,9 +101,9 @@ def _dominance_form(order, alpha):
     w_i*(e_j*adj)_i/N(alpha), w = (1, radicands)."""
     field, dim = order.field, order.field.degree
     mul_coords = field.mul_coords
-    adj = alpha.conjugate(1).num
+    adj = field.conjugate(alpha.num, 1)
     for k in range(2, dim):
-        adj = mul_coords(adj, alpha.conjugate(k).num)
+        adj = mul_coords(adj, field.conjugate(alpha.num, k))
     # adj is over den**(dim-1), so N(alpha) = norm/den**dim and
     # 1/alpha = adj*den/norm
     norm = mul_coords(alpha.num, adj)[0]
@@ -241,8 +217,9 @@ class SquareSet:
     def __len__(self):
         return len(self.scaled)
 
-    def restrict_dominated(self, alpha_scaled, tnn):
+    def restrict_dominated(self, alpha_scaled):
         """The subset of squares dominated by the given scaled value."""
+        tnn = self.order.field.tnn_test()
         return SquareSet(self.order, _dominated(self.scaled, alpha_scaled, 1, tnn))
 
 
@@ -269,7 +246,7 @@ def enumerate_squares_dominated(order, alpha):
     L = lcm(order.den, alpha.den)
     av = tuple(c * (L // alpha.den) for c in alpha.num)
     pairs = _root_squares(order, *_dominance_form(order, alpha))
-    return SquareSet(order, _dominated(pairs, av, L // order.den, _tnn_test(order.field)))
+    return SquareSet(order, _dominated(pairs, av, L // order.den, order.field.tnn_test()))
 
 
 @dataclass
@@ -362,18 +339,17 @@ def length(order, alpha, max_n=None, square_set=None):
     if av is None:
         return done(NOT_SUM_OF_SQUARES)
 
-    tnn = _tnn_test(order.field)
     if square_set is None:
         square_set = enumerate_squares_dominated(order, alpha)
     else:
-        square_set = square_set.restrict_dominated(av, tnn)
+        square_set = square_set.restrict_dominated(av)
     squares = square_set.scaled
     if not squares:
         return done(NOT_SUM_OF_SQUARES)
 
     cutoff = -(-av[0] // order.den)
     limit = cutoff if max_n is None else min(max_n, cutoff)
-
+    tnn = order.field.tnn_test()
     for k in range(1, limit + 1):
         roots = _dfs_search(av, squares, k, tnn, order.den, counter)
         if roots is not None:

@@ -5,13 +5,22 @@ denominator in the power basis (1, sqrt(m), sqrt(s), sqrt(t)) for a
 biquadratic field, or (1, sqrt(n)) for a quadratic field.  All sign and
 comparison questions are settled with integer arithmetic only; no floating
 point is involved anywhere in this module.
+
+The field owns everything that depends on which field it is: its Galois
+action on coordinate tuples (a sign pattern on the radicals per real
+embedding), the exact sign at each embedding, the fast
+total-nonnegativity predicate the search runs in its inner loop
+(`tnn_test`), and its integral basis (`basis_matrix`).  Element and the
+other modules delegate to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from operator import mul
 
 
 class FieldError(Exception):
@@ -32,6 +41,14 @@ class OutOfRange(FieldError):
 
 class FieldMismatch(FieldError):
     pass
+
+
+class ForeignRadical(FieldError):
+    """sqrt(k) does not lie in the active field."""
+
+    def __init__(self, radicand):
+        self.radicand = radicand
+        super().__init__(f"sqrt({radicand}) does not lie in the field")
 
 
 def sign(x):
@@ -107,15 +124,63 @@ def biquad_sign(a, b, c, d, m, s, t0):
     return su * quad_sign(w1, w2, m)
 
 
-@dataclass(frozen=True)
-class QuadraticField:
-    """The real quadratic field Q(sqrt(n)) for squarefree n > 1."""
+# The predicate built by tnn_test is kept per field in a bounded cache, not
+# on the frozen instance, so that fields stay picklable for worker
+# processes; fields are small values, so holding a few is harmless.
+_TNN_CACHE = 256
 
-    n: int
+
+class _Field:
+    """What the quadratic and biquadratic fields share.
+
+    A subclass is a frozen dataclass with `radicands`, `sign_patterns` (the
+    signs that the i-th real embedding puts on the coordinates of the
+    radicals), `mul_coords`, `_sign` (the exact sign of a coordinate tuple
+    at the identity embedding) and `tnn_test`.
+    """
 
     @property
     def degree(self):
-        return 2
+        return len(self.sign_patterns)
+
+    def element(self, num, den=1):
+        return Element.make(self, tuple(num), den)
+
+    def zero(self):
+        return self.from_rational(0)
+
+    def one(self):
+        return self.from_rational(1)
+
+    def from_rational(self, r):
+        r = Fraction(r)
+        return self.element((r.numerator,) + (0,) * len(self.radicands), r.denominator)
+
+    def sqrt_of(self, k):
+        """sqrt(k) as an element, if k is a square in the field."""
+        f, k0 = squarefree_part(k)
+        names = (1,) + self.radicands
+        if k0 not in names:
+            raise ForeignRadical(k)
+        return self.element(f * (r == k0) for r in names)
+
+    def conjugate(self, coords, i):
+        """The coordinates of the i-th conjugate of the given coordinates."""
+        a, *rest = coords
+        return (a, *map(mul, self.sign_patterns[i], rest))
+
+    def embedding_sign(self, coords, i):
+        """Exact sign, as -1, 0 or +1, of the element with the given
+        coordinates (over any positive denominator) at the i-th embedding."""
+        return self._sign(self.conjugate(coords, i))
+
+
+@dataclass(frozen=True)
+class QuadraticField(_Field):
+    """The real quadratic field Q(sqrt(n)) for squarefree n > 1."""
+
+    n: int
+    sign_patterns = ((1,), (-1,))
 
     @property
     def radicands(self):
@@ -132,49 +197,37 @@ class QuadraticField:
         a2, b2 = y
         return (a1 * a2 + b1 * b2 * self.n, a1 * b2 + b1 * a2)
 
-    def embedding_sign(self, coords, i):
-        a, b = coords
-        return quad_sign(a, b if i == 0 else -b, self.n)
+    def _sign(self, coords):
+        return quad_sign(*coords, self.n)
 
-    def element(self, num, den=1):
-        return Element.make(self, tuple(num), den)
+    @lru_cache(maxsize=_TNN_CACHE)
+    def tnn_test(self):
+        """A fast total-nonnegativity predicate on integer coordinate tuples."""
+        n = self.n
 
-    def zero(self):
-        return self.element((0, 0))
+        def tnn(v):
+            a, b = v
+            if a < 0:
+                return False
+            return quad_sign(a, b, n) >= 0 and quad_sign(a, -b, n) >= 0
 
-    def one(self):
-        return self.element((1, 0))
+        return tnn
 
-    def from_rational(self, r):
-        r = Fraction(r)
-        return self.element((r.numerator, 0), r.denominator)
-
-    def sqrt_of(self, k):
-        """sqrt(k) as an element, if k is a square in the field."""
-        f, k0 = squarefree_part(k)
-        if k0 == 1:
-            return self.element((f, 0))
-        if k0 == self.n:
-            return self.element((0, f))
-        raise ForeignRadical(k)
+    def basis_matrix(self):
+        """Columns of the integral basis in (1, sqrt n) coords."""
+        if self.n % 4 == 1:
+            return ((1, 0), (Fraction(1, 2), Fraction(1, 2)))
+        return ((1, 0), (0, 1))
 
     def __repr__(self):
         return f"Q(sqrt({self.n}))"
-
-
-class ForeignRadical(FieldError):
-    """sqrt(k) does not lie in the active field."""
-
-    def __init__(self, radicand):
-        self.radicand = radicand
-        super().__init__(f"sqrt({radicand}) does not lie in the field")
 
 
 BASIS_TYPES = ("B1", "B2", "B3", "B4a", "B4b")
 
 
 @dataclass(frozen=True)
-class BiquadraticField:
+class BiquadraticField(_Field):
     """A totally real biquadratic field Q(sqrt(p), sqrt(q)).
 
     Canonical generators m < s < t are the three squarefree integers whose
@@ -193,10 +246,7 @@ class BiquadraticField:
     t0: int
     basis_type: str
     roles: tuple  # (p_role, q_role, r_role), a permutation of (m, s, t)
-
-    @property
-    def degree(self):
-        return 4
+    sign_patterns = SIGN_PATTERNS
 
     @property
     def radicands(self):
@@ -214,34 +264,24 @@ class BiquadraticField:
             a1 * d2 + d1 * a2 + t0 * (b1 * c2 + c1 * b2),
         )
 
-    def embedding_sign(self, coords, i):
-        a, b, c, d = coords
-        em, es, et = SIGN_PATTERNS[i]
-        return biquad_sign(a, em * b, es * c, et * d, self.m, self.s, self.t0)
+    def _sign(self, coords):
+        return biquad_sign(*coords, self.m, self.s, self.t0)
 
-    def element(self, num, den=1):
-        return Element.make(self, tuple(num), den)
+    @lru_cache(maxsize=_TNN_CACHE)
+    def tnn_test(self):
+        """A fast total-nonnegativity predicate on integer coordinate tuples."""
+        m, s, t0 = self.m, self.s, self.t0
 
-    def zero(self):
-        return self.element((0, 0, 0, 0))
+        def tnn(v):
+            a, b, c, d = v
+            if a < 0:
+                return False
+            for em, es, et in SIGN_PATTERNS:
+                if biquad_sign(a, em * b, es * c, et * d, m, s, t0) < 0:
+                    return False
+            return True
 
-    def one(self):
-        return self.element((1, 0, 0, 0))
-
-    def from_rational(self, r):
-        r = Fraction(r)
-        return self.element((r.numerator, 0, 0, 0), r.denominator)
-
-    def sqrt_of(self, k):
-        f, k0 = squarefree_part(k)
-        if k0 == 1:
-            return self.element((f, 0, 0, 0))
-        for pos, rad in enumerate(self.radicands):
-            if k0 == rad:
-                num = [0, 0, 0, 0]
-                num[pos + 1] = f
-                return self.element(tuple(num))
-        raise ForeignRadical(k)
+        return tnn
 
     def basis_matrix(self):
         """Columns of the integral basis in (1, sqrt m, sqrt s, sqrt t) coords."""
@@ -437,14 +477,7 @@ class Element:
         return tuple(Fraction(v, self.den) for v in self.num)
 
     def conjugate(self, i):
-        if self.field.degree == 2:
-            a, b = self.num
-            num = (a, b) if i == 0 else (a, -b)
-        else:
-            a, b, c, d = self.num
-            em, es, et = SIGN_PATTERNS[i]
-            num = (a, em * b, es * c, et * d)
-        return Element(self.field, num, self.den)
+        return Element(self.field, self.field.conjugate(self.num, i), self.den)
 
     def conjugates(self):
         return tuple(self.conjugate(i) for i in range(self.field.degree))
@@ -459,13 +492,10 @@ class Element:
         return Fraction(q, self.den * self.den)
 
     def sign_at_embedding(self, i):
-        if self.field.degree == 2:
-            a, b = self.num
-            return quad_sign(a, b if i == 0 else -b, self.field.n)
         return self.field.embedding_sign(self.num, i)
 
     def is_totally_nonnegative(self):
-        return all(self.sign_at_embedding(i) >= 0 for i in range(self.field.degree))
+        return self.field.tnn_test()(self.num)
 
     def is_totally_positive(self):
         return all(self.sign_at_embedding(i) > 0 for i in range(self.field.degree))

@@ -7,7 +7,8 @@ per lattice (see `_canonical`).  An order converts Elements to and from
 its scaled coordinates, the power-basis coordinates times `den`
 (`OrderLattice.scaled`, `OrderLattice.unscale`), and multiplies in them
 (`OrderLattice.mul_scaled`), so the hot paths elsewhere work on integer
-tuples without knowing the format.
+tuples without knowing the format.  The maximal order comes from the
+field's own integral-basis table (`basis_matrix` in bqsos.fields).
 """
 
 from __future__ import annotations
@@ -207,13 +208,7 @@ class OrderLattice:
 
 
 def maximal_order(field):
-    """The ring of integers, from the integral-basis table."""
-    if isinstance(field, QuadraticField):
-        if field.n % 4 == 1:
-            cols = [(1, 0), (Fraction(1, 2), Fraction(1, 2))]
-        else:
-            cols = [(1, 0), (0, 1)]
-        return OrderLattice(field, cols, "maximal")
+    """The ring of integers, from the field's integral-basis table."""
     return OrderLattice(field, field.basis_matrix(), "maximal")
 
 

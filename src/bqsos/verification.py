@@ -45,28 +45,6 @@ class BudgetExceeded(DecompositionError):
         super().__init__(message)
 
 
-FAMILIES = (
-    "QuadraticThm31",
-    "QuadraticObs32",
-    "B1CoprimeLen6",
-    "B1CoprimeLen7",
-    "B23Coprime",
-    "B4Coprime",
-    "MIs1",
-    "MNot1",
-    "MPlus4_8_12",
-    "Sqrt7",
-    "Sqrt6",
-    "Sqrt5SIs1",
-    "Sqrt2",
-    "Sqrt3",
-    "Sqrt5SNot1",
-    "Sqrt13",
-    "TwelveBranch",
-    "Tinkova",
-)
-
-
 def _require(cond, message):
     if not cond:
         raise FamilyNotApplicable(message)
@@ -436,6 +414,8 @@ _BUILDERS = {
     "Tinkova": _tinkova,
 }
 
+FAMILIES = tuple(_BUILDERS)
+
 EXPECTED_LENGTH = {
     "QuadraticObs32": 5,
     "B1CoprimeLen6": 6,
@@ -652,10 +632,13 @@ def verify_table(table, item=None, scaled=True, budget=None, s_max=None):
     """Recompute a block of known lengths; one report row per claim.
 
     table is one of "thm3.1", "lemma4.3", "prop4.4".  For "lemma4.3" an
-    optional item number restricts to one list; `scaled` limits the
+    optional item number restricts to one list and s_max bounds the
+    open-ended item; the other tables take neither.  `scaled` limits the
     open-ended item to a small range (and for "prop4.4" runs the profile
     at a reduced trace cap).  The budget is checked after every row.
     """
+    if table != "lemma4.3" and (item is not None or s_max is not None):
+        raise ValueError(f"item and s_max apply only to table lemma4.3, not {table!r}")
     if table == "thm3.1":
         claims = [("QuadraticThm31", order, {})
                   for order, _, _ in quadratic_baseline_entries()]

@@ -8,7 +8,7 @@ from math import isqrt
 
 import mpmath
 
-from bqsos.fields import Element, classify_field
+from bqsos.fields import Element, QuadraticField, classify_field
 from bqsos.orders import (
     maximal_order,
     parse_order_description,
@@ -17,7 +17,6 @@ from bqsos.orders import (
     quadratic_order_half,
 )
 from bqsos.decomposition import (
-    _tnn_test,
     enumerate_squares_dominated,
     enumerate_squares_traced,
     is_sum_of_n_squares,
@@ -150,14 +149,23 @@ def _random_element(rng, field, span=50, dens=(1, 2, 4)):
     return Element.make(field, num, rng.choice(dens))
 
 
+def _embedding_signs(field, i):
+    """Signs that the i-th real embedding puts on the power basis, from
+    the definition: sqrt(n) goes to (-1)**i*sqrt(n) in Q(sqrt(n)); in a
+    biquadratic field sqrt(m) goes to (-1)**(i & 1)*sqrt(m), sqrt(s) to
+    (-1)**(i >> 1)*sqrt(s), and so sqrt(t) = sqrt(m)*sqrt(s)/t0 to the
+    product of the two."""
+    em, es = (-1) ** (i & 1), (-1) ** (i >> 1)
+    return (1, em, es, em * es)[:field.degree]
+
+
 def _interval_sign(x, i):
     """Sign of the i-th conjugate via 128-bit floating evaluation."""
-    conj = x.conjugate(i)
     with mpmath.workprec(128):
         total = mpmath.mpf(0)
         weights = (1,) + x.field.radicands
-        for c, w in zip(conj.coords(), weights):
-            total += mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(w)
+        for c, w, e in zip(x.coords(), weights, _embedding_signs(x.field, i)):
+            total += e * mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(w)
         if abs(total) < mpmath.mpf(2) ** -64:
             return None
         return 1 if total > 0 else -1
@@ -187,10 +195,13 @@ def test_criterion_8_property_suite():
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
 
-    fields = [classify_field(2, 3), classify_field(17, 19), classify_field(5, 13)]
+    fields = [classify_field(2, 3), classify_field(17, 19), classify_field(5, 13),
+              QuadraticField(2), QuadraticField(5), QuadraticField(13)]
     for _ in range(1000):
         x = _random_element(rng, rng.choice(fields))
-        i = rng.randrange(4)
+        i = rng.randrange(x.field.degree)
+        signs = _embedding_signs(x.field, i)
+        assert x.conjugate(i).num == tuple(e * c for e, c in zip(signs, x.num))
         expected = _interval_sign(x, i)
         if expected is not None:
             assert x.sign_at_embedding(i) == expected
@@ -239,7 +250,7 @@ def test_criterion_8_property_suite():
     ]
     checked = 0
     for order, cap in oracle_cases:
-        tnn = _tnn_test(order.field)
+        tnn = order.field.tnn_test()
         zero = (0,) * order.field.degree
         oracle = {zero: 0}
         for row in length_profile(order, cap):

@@ -188,6 +188,17 @@ class TestVerify:
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("options", [
+        ("thm3.1", "--item", "3"),
+        ("prop4.4", "--item", "3"),
+        ("thm3.1", "--s-max", "9"),
+    ])
+    def test_lemma_options_on_other_tables_are_usage_errors(self, capsys, options):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--table", *options])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_zero_time_budget_prints_partial_rows(self, capsys):
         code, out, err = run(
             capsys, "verify", "--table", "thm3.1", "--time-budget", "0"

@@ -1,3 +1,5 @@
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,31 @@ from bqsos.fields import (
     quad_sign,
     squarefree_part,
 )
+
+
+# quadratic and biquadratic fields for the sign and predicate checks
+SIGN_FIELDS = (QuadraticField(2), QuadraticField(5), QuadraticField(13),
+               classify_field(2, 3), classify_field(5, 13), classify_field(17, 19))
+
+
+def is_tnn_by_signs(field, v):
+    return all(field.embedding_sign(v, i) >= 0 for i in range(field.degree))
+
+
+def least_tnn_shift(field, rest):
+    """The least integer a with (a, *rest) totally nonnegative, by
+    bisection on the embedding signs.  For a quadratic field this is the
+    least a with a*a >= b*b*n; equality holds only at 0, as n is not a
+    square."""
+    lo = -1  # the conjugates average to a, so a < 0 is never tnn
+    hi = sum(abs(c) * r for c, r in zip(rest, field.radicands))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if is_tnn_by_signs(field, (mid, *rest)):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def det4(cols):
@@ -121,6 +148,29 @@ class TestSigns:
         if abs(value) > 1e-6:
             assert quad_sign(a, b, n) == (1 if value > 0 else -1)
 
+    @pytest.mark.parametrize("field", SIGN_FIELDS, ids=repr)
+    def test_tnn_test_matches_embedding_signs(self, field):
+        # 0, squares, random tuples, and the boundary: the least totally
+        # nonnegative shift of random radical coordinates and its neighbours
+        rng = random.Random(field.radicands[-1])
+        tnn, d = field.tnn_test(), field.degree
+        cases = [(0,) * d]
+        for _ in range(100):
+            x = tuple(rng.randint(-9, 9) for _ in range(d))
+            rest = tuple(rng.randint(-30, 30) for _ in range(d - 1))
+            a = least_tnn_shift(field, rest)
+            cases += [field.mul_coords(x, x), (rng.randint(-60, 60), *rest),
+                      (a - 1, *rest), (a, *rest), (a + 1, *rest)]
+        for v in cases:
+            assert tnn(v) == is_tnn_by_signs(field, v), v
+
+    def test_fields_pickle_after_tnn_test(self):
+        # sweep --jobs ships fields to worker processes
+        for field in (QuadraticField(13), classify_field(5, 13)):
+            assert field.tnn_test()(field.one().num)
+            copy = pickle.loads(pickle.dumps(field))
+            assert copy == field and copy.tnn_test() is field.tnn_test()
+
     def test_embedding_signs_of_square(self):
         f = classify_field(2, 3)
         x = f.element((1, 3, -2, 1), 2)
@@ -208,10 +258,10 @@ class TestRingAxioms:
 
     @given(coords, coords)
     def test_conjugation_is_multiplicative(self, a, b):
-        f = classify_field(2, 3)
-        x, y = Element.make(f, a), Element.make(f, b)
-        for i in range(4):
-            assert (x * y).conjugate(i) == x.conjugate(i) * y.conjugate(i)
+        for f in SIGN_FIELDS:
+            x, y = Element.make(f, a[:f.degree]), Element.make(f, b[:f.degree])
+            for i in range(f.degree):
+                assert (x * y).conjugate(i) == x.conjugate(i) * y.conjugate(i)
 
     @given(coords)
     def test_norm_is_rational(self, a):

@@ -9,6 +9,7 @@ from bqsos.decomposition import length
 from bqsos.verification import (
     Budget,
     BudgetExceeded,
+    EXPECTED_LENGTH,
     FAMILIES,
     FamilyNotApplicable,
     LEMMA_ITEMS,
@@ -131,6 +132,19 @@ class TestLengths:
 
 
 class TestVerifyTable:
+    def test_every_family_has_an_expected_length(self):
+        # QuadraticThm31 reads its length from the Thm 3.1 baseline table
+        assert set(FAMILIES) - set(EXPECTED_LENGTH) == {"QuadraticThm31"}
+
+    @pytest.mark.parametrize("table, options", [
+        ("thm3.1", {"item": 3}),
+        ("prop4.4", {"item": 3}),
+        ("thm3.1", {"s_max": 9}),
+    ])
+    def test_lemma_options_rejected_for_other_tables(self, table, options):
+        with pytest.raises(ValueError, match="lemma4.3"):
+            verify_table(table, **options)
+
     def test_quadratic_baseline_table(self):
         rows = verify_table("thm3.1")
         assert len(rows) == 7
