@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .fields import Element, FieldError, QuadraticField, classify_field
+from .fields import FieldError, classify_field
 from .decomposition import (
     DecompositionError,
     EXACT,
@@ -31,30 +31,6 @@ STATUS_NAMES = {
     NOT_SUM_OF_SQUARES: "NotSumOfSquares",
     UNDETERMINED: "Undetermined",
 }
-
-
-def _element_json(x):
-    return {
-        "coords": [str(c) for c in x.coords()],
-        "pretty": str(x),
-    }
-
-
-def _field_json(field):
-    if isinstance(field, QuadraticField):
-        return {"n": field.n, "degree": 2}
-    return {
-        "p": field.p,
-        "q": field.q,
-        "m": field.m,
-        "s": field.s,
-        "t": field.t,
-        "m0": field.m0,
-        "s0": field.s0,
-        "t0": field.t0,
-        "type": field.basis_type,
-        "roles": list(field.roles),
-    }
 
 
 def _emit(payload):
@@ -106,7 +82,7 @@ def _cap_from_args(args, field):
 
 def cmd_classify(args, parser):
     field = classify_field(args.p, args.q)
-    _emit(_field_json(field))
+    _emit(field.to_json())
     return 0
 
 
@@ -115,9 +91,9 @@ def cmd_length(args, parser):
     alpha = parse_element(args.elem, field)
     result = length(order, alpha, max_n=args.max_n)
     payload = {
-        "field": _field_json(field),
+        "field": field.to_json(),
         "order": order.label,
-        "alpha": _element_json(alpha),
+        "alpha": alpha.to_json(),
         "status": STATUS_NAMES[result.status],
         "nodes": result.nodes,
         "millis": round(result.millis, 3),
@@ -125,7 +101,7 @@ def cmd_length(args, parser):
     if result.k is not None:
         payload["length"] = result.k
     if result.witness is not None:
-        payload["witness"] = [_element_json(w) for w in result.witness]
+        payload["witness"] = [w.to_json() for w in result.witness]
     _emit(payload)
     return 0
 
@@ -135,14 +111,14 @@ def cmd_lower_bound(args, parser):
     cap = _cap_from_args(args, field)
     n, witnesses = pythagoras_lower_bound(order, cap, cache_dir=args.cache)
     _emit({
-        "field": _field_json(field),
+        "field": field.to_json(),
         "order": order.label,
         "atr_cap": str(cap),
         "lower_bound": n,
         "witnesses": [
             {
-                "alpha": _element_json(alpha),
-                "decomposition": [_element_json(w) for w in roots],
+                "alpha": alpha.to_json(),
+                "decomposition": [w.to_json() for w in roots],
             }
             for alpha, roots in witnesses
         ],
@@ -164,14 +140,14 @@ def cmd_profile(args, parser):
             )
     else:
         _emit({
-            "field": _field_json(field),
+            "field": field.to_json(),
             "order": order.label,
             "atr_cap": str(cap),
             "rows": [
                 {
-                    "alpha": _element_json(row.element),
+                    "alpha": row.element.to_json(),
                     "length": row.length,
-                    "witness": [_element_json(w) for w in row.witness],
+                    "witness": [w.to_json() for w in row.witness],
                 }
                 for row in rows
             ],

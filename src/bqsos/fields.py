@@ -10,13 +10,13 @@ The field owns everything that depends on which field it is: its Galois
 action on coordinate tuples (a sign pattern on the radicals per real
 embedding), the exact sign at each embedding, the fast
 total-nonnegativity predicate the search runs in its inner loop
-(`tnn_test`), and its integral basis (`basis_matrix`).  Element and the
-other modules delegate to it.
+(`tnn_test`), its integral basis (`basis_matrix`) and its JSON form
+(`to_json`).  Element and the other modules delegate to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -219,6 +219,9 @@ class QuadraticField(_Field):
             return ((1, 0), (Fraction(1, 2), Fraction(1, 2)))
         return ((1, 0), (0, 1))
 
+    def to_json(self):
+        return {"n": self.n, "degree": 2}
+
     def __repr__(self):
         return f"Q(sqrt({self.n}))"
 
@@ -233,11 +236,13 @@ class BiquadraticField(_Field):
     Canonical generators m < s < t are the three squarefree integers whose
     roots lie in the field; m0, s0, t0 are the pairwise gcds.  basis_type is
     one of B1..B4b and role assignment records which of m, s, t play the
-    parts of p, q, r in the integral-basis table.
+    parts of p, q, r in the integral-basis table.  The requested generators
+    p, q are kept for reporting only: equality and hashing use the
+    canonical data, so Q(sqrt 3, sqrt 2) == Q(sqrt 2, sqrt 6).
     """
 
-    p: int
-    q: int
+    p: int = field(compare=False)
+    q: int = field(compare=False)
     m: int
     s: int
     t: int
@@ -320,6 +325,20 @@ class BiquadraticField(_Field):
                 vec((1, 1), (-1, pr), (1, qr), (1, rr), den=4),
             )
         return cols
+
+    def to_json(self):
+        return {
+            "p": self.p,
+            "q": self.q,
+            "m": self.m,
+            "s": self.s,
+            "t": self.t,
+            "m0": self.m0,
+            "s0": self.s0,
+            "t0": self.t0,
+            "type": self.basis_type,
+            "roles": list(self.roles),
+        }
 
     def __repr__(self):
         return f"Q(sqrt({self.m}),sqrt({self.s}))"
@@ -506,31 +525,26 @@ class Element:
 
     def __str__(self):
         names = ("",) + tuple(f"sqrt({r})" for r in self.field.radicands)
-        terms = []
+        out = ""
         for v, name in zip(self.num, names):
             if v == 0:
                 continue
-            coeff = Fraction(v, self.den)
-            if name == "":
-                terms.append((coeff, ""))
-            else:
-                terms.append((coeff, name))
-        if not terms:
-            return "0"
-        parts = []
-        for coeff, name in terms:
-            mag = abs(coeff)
+            mag = Fraction(abs(v), self.den)
             if name == "":
                 body = str(mag)
             elif mag == 1:
                 body = name
             else:
                 body = f"{mag}*{name}"
-            parts.append(("-" if coeff < 0 else "+", body))
-        out = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-        for op, body in parts[1:]:
-            out += f" {op} {body}"
-        return out
+            if out:
+                out += f" {'-' if v < 0 else '+'} {body}"
+            else:
+                out = "-" + body if v < 0 else body
+        return out or "0"
+
+    def to_json(self):
+        """Exact coordinates as decimal strings, plus the pretty form."""
+        return {"coords": [str(c) for c in self.coords()], "pretty": str(self)}
 
     def __repr__(self):
         return f"<{self} in {self.field}>"

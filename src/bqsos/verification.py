@@ -4,6 +4,14 @@ recompute those lengths and report pass/fail per claim.
 Each family names a parametrized construction of an element whose length
 in the relevant order is known; applicability conditions (congruences,
 gcd inequalities) are checked before construction.
+
+Every table (Thm 3.1, Lemma 4.3, Prop 4.4) and every sweep goes through
+one claim runner, `run_claims`, which maps a row function over a list of
+claims and checks the budget after each row.  `claim_row` constructs a
+family's element and measures its length; `_prop44_row` measures a
+Prop 4.4 field's stabilization level under the trace cap (the largest
+length of a bounded sum of squares) and the length of the listed element.
+Rows describe fields and elements by their own `to_json`, as the CLI does.
 """
 
 from __future__ import annotations
@@ -17,7 +25,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .fields import (
-    Element,
     FieldError,
     QuadraticField,
     classify_field,
@@ -28,6 +35,7 @@ from .decomposition import (
     DecompositionError,
     EXACT,
     length,
+    pythagoras_lower_bound,
 )
 
 
@@ -509,11 +517,10 @@ LEMMA_ITEMS = {
 SQRT5_S_NOT_1_COMPUTED_MAX = 499
 
 
-def _lemma_item_pairs(item, s_max=None):
+def _lemma_item_pairs(item, s_max):
     family, pairs = LEMMA_ITEMS[item]
     if pairs is None:
-        cap = SQRT5_S_NOT_1_COMPUTED_MAX if s_max is None else s_max
-        pairs = [(5, s) for s in range(8, cap + 1)
+        pairs = [(5, s) for s in range(8, s_max + 1)
                  if s % 4 != 1 and s % 5 != 0 and is_squarefree(s)]
     return family, pairs
 
@@ -548,16 +555,6 @@ class Budget:
             raise BudgetExceeded(f"node budget {self.nodes} exhausted", partial)
 
 
-def _field_info(field):
-    if isinstance(field, QuadraticField):
-        return {"n": field.n}
-    return {
-        "p": field.p, "q": field.q,
-        "m": field.m, "s": field.s, "t": field.t,
-        "type": field.basis_type,
-    }
-
-
 def claim_row(claim):
     """The report row for one claim (family, target, tags).
 
@@ -580,20 +577,17 @@ def claim_row(claim):
     try:
         alpha = construct_witness(family, target)
     except FamilyNotApplicable as exc:
-        return {"field": _field_info(field), **tags, "family": family,
+        return {"field": field.to_json(), **tags, "family": family,
                 "status": "NOT_APPLICABLE", "reason": exc.condition}
     if order is None:
         order = maximal_order(field)
     expected = expected_length(family, target)
     result = length(order, alpha)
     row = {
-        "field": _field_info(field),
+        "field": field.to_json(),
         "order": order.label,
         "family": family,
-        "alpha": {
-            "coords": [str(c) for c in alpha.coords()],
-            "pretty": str(alpha),
-        },
+        "alpha": alpha.to_json(),
         "length": result.k,
         "expected": expected,
         "status": "PASS" if result.status == EXACT and result.k == expected else "FAIL",
@@ -607,8 +601,38 @@ def claim_row(claim):
     return row
 
 
-def run_claims(claims, budget=None, jobs=1, on_row=None):
-    """Report rows for a list of claims, in order.
+def _prop44_row(claim):
+    """The report row for one Prop. 4.4 entry, given as (entry, scaled).
+
+    The table's maximum length is the stabilization level of the level
+    sets under the trace cap, which is the largest length among the
+    bounded sums of squares; alpha must have exactly that length.
+    """
+    ((p, q), expected_max, coords, den, tr_cap), scaled = claim
+    field = classify_field(p, q)
+    order = maximal_order(field)
+    alpha = field.element(coords, den)
+    cap = 30 if scaled else Fraction(tr_cap, field.degree)
+    max_length, _ = pythagoras_lower_bound(order, cap)
+    attains = length(order, alpha).k == expected_max
+    return {
+        "field": field.to_json(),
+        "order": order.label,
+        "table": "prop4.4",
+        "alpha": alpha.to_json(),
+        "cap_atr": str(cap),
+        "cap_tr": str(cap * field.degree),
+        "max_length": max_length,
+        "expected": expected_max,
+        "alpha_attains": attains,
+        "status": "PASS" if max_length == expected_max and attains else "FAIL",
+    }
+
+
+def run_claims(row, claims, budget=None, jobs=1, on_row=None):
+    """Report rows for a list of claims, in order: row(claim) for each
+    claim, as map gives them; row is a module-level function, so that
+    it pickles.
 
     Each finished row is passed to on_row, its search nodes are charged to
     the budget, and the budget is checked; a stop raises BudgetExceeded
@@ -618,12 +642,12 @@ def run_claims(claims, budget=None, jobs=1, on_row=None):
     rows = []
     parallel = jobs > 1 and len(claims) > 1
     with multiprocessing.Pool(jobs) if parallel else contextlib.nullcontext() as pool:
-        for row in pool.imap(claim_row, claims) if parallel else map(claim_row, claims):
-            rows.append(row)
+        for done in pool.imap(row, claims) if parallel else map(row, claims):
+            rows.append(done)
             if on_row is not None:
-                on_row(row)
+                on_row(done)
             if budget is not None:
-                budget.charge(row.get("nodes", 0))
+                budget.charge(done.get("nodes", 0))
                 budget.check(rows)
     return rows
 
@@ -634,55 +658,30 @@ def verify_table(table, item=None, scaled=True, budget=None, s_max=None):
     table is one of "thm3.1", "lemma4.3", "prop4.4".  For "lemma4.3" an
     optional item number restricts to one list and s_max bounds the
     open-ended item; the other tables take neither.  `scaled` limits the
-    open-ended item to a small range (and for "prop4.4" runs the profile
-    at a reduced trace cap).  The budget is checked after every row.
+    open-ended item to a small range (and for "prop4.4" runs the level
+    sets at a reduced trace cap).  The budget is checked after every row.
     """
     if table != "lemma4.3" and (item is not None or s_max is not None):
         raise ValueError(f"item and s_max apply only to table lemma4.3, not {table!r}")
     if table == "thm3.1":
         claims = [("QuadraticThm31", order, {})
                   for order, _, _ in quadratic_baseline_entries()]
-        return run_claims(claims, budget)
+        return run_claims(claim_row, claims, budget)
 
     if table == "lemma4.3":
         if item is not None and item not in LEMMA_ITEMS:
             raise ValueError(f"unknown lemma 4.3 item {item!r}")
-        cap = s_max if s_max is not None else (50 if scaled else None)
+        if s_max is None:
+            s_max = 50 if scaled else SQRT5_S_NOT_1_COMPUTED_MAX
         claims = []
         for it in [item] if item is not None else sorted(LEMMA_ITEMS):
-            family, pairs = _lemma_item_pairs(it, s_max=cap)
+            family, pairs = _lemma_item_pairs(it, s_max)
             claims += [(family, pair, {"item": it}) for pair in pairs]
-        return run_claims(claims, budget)
+        return run_claims(claim_row, claims, budget)
 
     if table == "prop4.4":
-        from .decomposition import length_profile
-
-        rows = []
-        for (p, q), expected_max, coords, den, tr_cap in PROP44_ENTRIES:
-            field = classify_field(p, q)
-            order = maximal_order(field)
-            alpha = Element.make(field, coords, den)
-            cap = 30 if scaled else Fraction(tr_cap, 4)
-            profile = length_profile(order, cap)
-            table_max = max(r.length for r in profile)
-            attained = any(r.element == alpha and r.length == expected_max
-                           for r in profile)
-            rows.append({
-                "field": _field_info(field),
-                "order": order.label,
-                "table": "prop4.4",
-                "alpha": {"coords": [str(c) for c in alpha.coords()],
-                          "pretty": str(alpha)},
-                "cap_atr": str(cap),
-                "cap_tr": str(cap * 4),
-                "max_length": table_max,
-                "expected": expected_max,
-                "alpha_attains": attained,
-                "status": "PASS" if table_max == expected_max and attained else "FAIL",
-            })
-            if budget is not None:
-                budget.check(rows)
-        return rows
+        return run_claims(_prop44_row, [(entry, scaled) for entry in PROP44_ENTRIES],
+                          budget)
 
     raise ValueError(f"unknown table {table!r}")
 
@@ -730,7 +729,8 @@ def sweep(family, m_range, s_range, budget=None, jobs=1, resume_path=None):
             out.flush()
 
         try:
-            fresh = run_claims(claims, budget, jobs, on_row=record if resume_path else None)
+            fresh = run_claims(claim_row, claims, budget, jobs,
+                               on_row=record if resume_path else None)
         except BudgetExceeded as exc:
             exc.partial = with_done(exc.partial)
             raise

@@ -170,16 +170,23 @@ class TestProfile:
 
 
 class TestVerify:
+    # a row's field object is the one the other commands print for the field
     def test_quadratic_baseline(self, capsys):
         code, out, _ = run(capsys, "verify", "--table", "thm3.1")
         assert code == 0
         data = json.loads(out)
         assert data["failures"] == 0 and len(data["rows"]) == 7
+        _, out, _ = run(capsys, "length", "--order", "quad:2", "--elem", "3")
+        assert data["rows"][0]["field"] == json.loads(out)["field"]
 
     def test_lemma_item(self, capsys):
         code, out, _ = run(capsys, "verify", "--table", "lemma4.3", "--item", "1")
         assert code == 0
-        assert json.loads(out)["failures"] == 0
+        data = json.loads(out)
+        assert data["failures"] == 0
+        field = data["rows"][0]["field"]
+        _, out, _ = run(capsys, "classify", "--p", str(field["p"]), "--q", str(field["q"]))
+        assert field == json.loads(out)
 
     @pytest.mark.parametrize("item", ["0", "99"])
     def test_unknown_item_is_usage_error(self, capsys, item):

@@ -19,6 +19,8 @@ from bqsos.fields import (
     quad_sign,
     squarefree_part,
 )
+from bqsos.orders import maximal_order
+from bqsos.parser import parse_element
 
 
 # quadratic and biquadratic fields for the sign and predicate checks
@@ -114,6 +116,18 @@ class TestClassify:
     def test_generator_order_irrelevant(self):
         a, b = classify_field(3, 2), classify_field(2, 3)
         assert a.radicands == b.radicands and a.basis_type == b.basis_type
+
+    def test_same_field_from_other_generators_is_equal(self):
+        # equality and hash use the canonical data; p and q are for reporting
+        a, b, c = classify_field(2, 3), classify_field(3, 2), classify_field(2, 6)
+        assert a == b == c and len({a, b, c}) == 1
+        assert a != classify_field(2, 5)
+        assert (b.p, b.q) == (3, 2) and b.to_json()["p"] == 3
+        x, y = (parse_element("1+sqrt(2)", f) for f in (b, c))
+        assert x + y == 2 + 2 * a.sqrt_of(2)
+        assert maximal_order(b) == maximal_order(c)
+        copy = pickle.loads(pickle.dumps(b))
+        assert copy == a and hash(copy) == hash(a) and (copy.p, copy.q) == (3, 2)
 
     def test_gcd_identities(self):
         for p, q in [(2, 3), (6, 15), (17, 21), (10, 13), (30, 42)]:
@@ -231,6 +245,7 @@ class TestElement:
         assert str(f.element((7, 3, 0, 0), 4)) == "7/4 + 3/4*sqrt(2)"
         assert str(f.zero()) == "0"
         assert str(-f.sqrt_of(6)) == "-sqrt(6)"
+        assert str(f.element((-3, 2, 0, -4), 2)) == "-3/2 + sqrt(2) - 2*sqrt(6)"
 
     def test_quadratic_field(self):
         q = QuadraticField(13)

@@ -171,6 +171,15 @@ class TestVerifyTable:
         with pytest.raises(ValueError, match="item"):
             verify_table("lemma4.3", item=item, s_max=9)
 
+    def test_prop44_table(self):
+        rows = verify_table("prop4.4")
+        assert [row["status"] for row in rows] == ["PASS"] * 7
+        assert [row["max_length"] for row in rows] == [3, 3, 3, 4, 4, 4, 4]
+        assert all(row["alpha_attains"] for row in rows)
+        with pytest.raises(BudgetExceeded) as exc:
+            verify_table("prop4.4", budget=Budget(seconds=0.0))
+        assert exc.value.partial == rows[:1]
+
     def test_budget_exceeded_keeps_partial_rows(self):
         budget = Budget(seconds=0.0)
         with pytest.raises(BudgetExceeded) as exc:
