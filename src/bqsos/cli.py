@@ -87,6 +87,8 @@ def cmd_classify(args, parser):
 
 
 def cmd_length(args, parser):
+    if args.max_n is not None and args.max_n < 0:
+        parser.error(f"--max-n must be nonnegative, not {args.max_n}")
     field, order = _resolve_target(args, parser)
     alpha = parse_element(args.elem, field)
     result = length(order, alpha, max_n=args.max_n)

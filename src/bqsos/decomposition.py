@@ -4,21 +4,19 @@ n-square representability), level sets of all bounded sums of squares,
 and the fixed-point lower-bound iteration.
 
 Squares come from one integer walk over the order's lower-triangular HNF
-basis, so every visited point lies in the order.  The walk is bounded by
-a positive-definite rational quadratic form Q(x) <= 1 (Fincke-Pohst):
-the trace form abs_trace(x*x)/cap for the squares under a trace cap, and
-abs_trace(x*x/alpha) for the squares dominated by alpha, since x*x <=
-alpha gives sigma(x)**2/sigma(alpha) <= 1 at each embedding sigma.  The
-field's exact total-nonnegativity predicate (`tnn_test`, see
-bqsos.fields) then keeps the dominated squares, and the search prunes
-with the same predicate.  The form is scaled to integers once per walk,
-and each coordinate's range comes from an integer square root, so no
-float decides anything.
+basis, so every visited point lies in the order, bounded by the ellipsoid
+abs_trace(x*x/alpha) <= 1 of one form builder (Fincke-Pohst).  At a
+totally positive alpha it holds every square dominated by alpha, since
+x*x <= alpha gives sigma(x)**2/sigma(alpha) <= 1 at each embedding
+sigma, and the field's exact total-nonnegativity predicate (`tnn_test`,
+see bqsos.fields) keeps the dominated ones; at a rational alpha = cap it
+is the trace ball.  The search prunes with the same predicate.  The form
+is scaled to integers once per walk, and each coordinate's range comes
+from an integer square root, so no float decides anything.
 Hot paths work on the order's scaled coordinates, integer tuples over its
-common denominator (see bqsos.orders); every comparison is exact.  Level
-sets are extended on those tuples packed into single ints, adding to each
-value only the suffix of the trace-sorted squares that stays under the
-cap.
+common denominator (see bqsos.orders); every comparison is exact.  One
+engine, level_sets, extends the level sets on those tuples packed into
+single ints, and one loop turns its levels into rows.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from math import floor, isqrt, lcm
 from operator import mul
@@ -81,14 +79,6 @@ def _reverse_ldl(gram):
     return e[::-1], lam[::-1]
 
 
-def _trace_form(order, atr_cap):
-    """abs_trace(x*x)/atr_cap in the shape _enumerate_roots takes: diagonal
-    in the power basis, with the weights (1, radicands) over the cap."""
-    weights = (1,) + order.field.radicands
-    p, q = atr_cap.numerator, atr_cap.denominator
-    return [Fraction(w * q, p) for w in weights], [[0] * i for i in range(len(weights))]
-
-
 def _dominance_form(order, alpha):
     """abs_trace(x*x/alpha) for totally positive alpha, in the shape
     _enumerate_roots takes.
@@ -98,7 +88,8 @@ def _dominance_form(order, alpha):
     abs_trace(x*x/alpha) <= 1.  With adj the product of the other
     conjugates, 1/alpha = adj/N(alpha), and the Gram entry of power-basis
     coordinates i, j is abs_trace(e_i*e_j*adj)/N(alpha) =
-    w_i*(e_j*adj)_i/N(alpha), w = (1, radicands)."""
+    w_i*(e_j*adj)_i/N(alpha), w = (1, radicands).  At a rational alpha = c
+    the form is the trace ball abs_trace(x*x)/c, diagonal with weights w/c."""
     field, dim = order.field, order.field.degree
     mul_coords = field.mul_coords
     adj = field.conjugate(alpha.num, 1)
@@ -224,11 +215,13 @@ class SquareSet:
 
 
 def enumerate_squares_traced(order, atr_cap):
-    """All nonzero squares x*x of order elements with abs_trace <= atr_cap."""
+    """All nonzero squares x*x of order elements with abs_trace <= atr_cap:
+    the walk over the ellipsoid abs_trace(x*x/atr_cap) <= 1, unfiltered."""
     atr_cap = Fraction(atr_cap)
     if atr_cap <= 0:
         return SquareSet(order, ())
-    return SquareSet(order, _root_squares(order, *_trace_form(order, atr_cap)))
+    form = _dominance_form(order, order.field.from_rational(atr_cap))
+    return SquareSet(order, _root_squares(order, *form))
 
 
 def enumerate_squares_dominated(order, alpha):
@@ -262,7 +255,7 @@ class LengthResult:
         return self.status == EXACT
 
 
-def _dfs_search(alpha_scaled, squares, k, tnn, D, counter):
+def _dfs_search(alpha_scaled, squares, k, tnn, counter):
     """A representation of alpha as a sum of at most k squares, or None."""
     atrs = [sq[0] for _, sq in squares]
     n = len(squares)
@@ -272,11 +265,6 @@ def _dfs_search(alpha_scaled, squares, k, tnn, D, counter):
         counter[0] += 1
         if not any(res):
             return True
-        if remaining == 0:
-            return False
-        # Any nonzero sum of squares of order elements has abs_trace >= 1.
-        if res[0] < D:
-            return False
         for i in range(start, n):
             a = atrs[i]
             if a * remaining < res[0]:
@@ -296,15 +284,13 @@ def _dfs_search(alpha_scaled, squares, k, tnn, D, counter):
     return None
 
 
-def is_sum_of_n_squares(order, alpha, n, square_set=None):
+def is_sum_of_n_squares(order, alpha, n):
     """Whether alpha is a sum of at most n squares of order elements.
 
     Returns (answer, witness) where witness is a tuple of root Elements
-    when the answer is True.
+    when the answer is True.  A negative n raises ValueError.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    result = length(order, alpha, max_n=n, square_set=square_set)
+    result = length(order, alpha, max_n=n)
     if result.is_exact:
         return True, result.witness
     return False, None
@@ -317,8 +303,11 @@ def length(order, alpha, max_n=None, square_set=None):
     k = 1, 2, ...  When alpha is totally nonnegative but no representation
     with at most ceil(abs_trace(alpha)) squares exists, the status is
     NotSumOfSquares: every nonzero square in an order has abs_trace at
-    least 1.  A smaller max_n that is exhausted first yields Undetermined.
+    least 1.  A smaller max_n that is exhausted first yields Undetermined;
+    a negative max_n raises ValueError.
     """
+    if max_n is not None and max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
     start = time.monotonic()
     counter = [0]
 
@@ -351,7 +340,7 @@ def length(order, alpha, max_n=None, square_set=None):
     limit = cutoff if max_n is None else min(max_n, cutoff)
     tnn = order.field.tnn_test()
     for k in range(1, limit + 1):
-        roots = _dfs_search(av, squares, k, tnn, order.den, counter)
+        roots = _dfs_search(av, squares, k, tnn, counter)
         if roots is not None:
             witness = tuple(map(order.unscale, roots))
             return done(EXACT, len(witness), witness)
@@ -395,12 +384,13 @@ def _packer(dim, cap):
     return pack, unpack
 
 
-def _level_sets(order, atr_cap, cache_dir=None):
+def level_sets(order, atr_cap, cache_dir=None):
     """Level sets of sums of at most k squares with abs_trace <= atr_cap.
 
-    Returns (levels, True) where levels[k] maps each value first seen at
-    level k+1 to a witness tuple of scaled roots; iteration stops at the
-    fixed point.  A cache hit is returned before any enumeration.
+    Returns the list of levels: levels[k] maps each value first seen at
+    level k+1 to a witness tuple of scaled roots.  The list ends at the
+    fixed point, so its length is the largest length under the cap.  A
+    cache hit is returned before any enumeration.
 
     Each level is extended on packed ints (see _packer): a value plus a
     square is one int add, and `seen` is a set of ints.  The base squares
@@ -414,7 +404,7 @@ def _level_sets(order, atr_cap, cache_dir=None):
     if cache_dir:
         cached = load_level_cache(cache_dir, order, atr_cap)
         if cached is not None:
-            return cached
+            return cached[0]
     base = enumerate_squares_traced(order, atr_cap).scaled
     # traces are integers, so v[0] + sq[0] <= cap*den iff it is <= floor
     cap = floor(atr_cap * order.den)
@@ -440,35 +430,7 @@ def _level_sets(order, atr_cap, cache_dir=None):
         frontier = new
     if cache_dir:
         save_level_cache(cache_dir, order, atr_cap, levels, True)
-    return levels, True
-
-
-class _Elements(dict):
-    """Scaled tuple -> Element, each built once.  Elements are never
-    mutated, so rows share them."""
-
-    def __init__(self, order):
-        super().__init__()
-        self.order = order
-
-    def __missing__(self, v):
-        x = self[v] = self.order.unscale(v)
-        return x
-
-
-def pythagoras_lower_bound(order, atr_cap, cache_dir=None):
-    """Fixed-point iteration: grow sums of squares under the trace cap until
-    no new values appear.  Returns (n, witnesses): the stabilization level
-    and the (element, roots) pairs first realized there, each of exact
-    length n."""
-    levels, _ = _level_sets(order, atr_cap, cache_dir=cache_dir)
-    n = len(levels)
-    roots_of = _Elements(order)
-    witnesses = [
-        (order.unscale(v), tuple(roots_of[r] for r in roots))
-        for v, roots in sorted(levels[-1].items())
-    ]
-    return n, witnesses
+    return levels
 
 
 @dataclass
@@ -478,25 +440,35 @@ class ProfileRow:
     witness: tuple
 
 
+def _level_rows(order, levels, first):
+    """A ProfileRow for every value of levels[first:], by level and then
+    by value; the length of a value is its level's place in the list."""
+    # roots recur across rows; each is built once, and rows share them
+    roots_of = cache(order.unscale)
+    return [
+        ProfileRow(order.unscale(v), k, tuple(map(roots_of, roots)))
+        for k, level in enumerate(levels[first:], start=first + 1)
+        for v, roots in sorted(level.items())
+    ]
+
+
+def pythagoras_lower_bound(order, atr_cap, cache_dir=None):
+    """Fixed-point iteration: grow sums of squares under the trace cap until
+    no new values appear.  Returns (n, witnesses): the stabilization level
+    and the (element, roots) pairs first realized there, each of exact
+    length n."""
+    levels = level_sets(order, atr_cap, cache_dir=cache_dir)
+    n = len(levels)
+    return n, [(row.element, row.witness) for row in _level_rows(order, levels, n - 1)]
+
+
 def length_profile(order, atr_cap, cache_dir=None):
     """Exact lengths of every sum of squares with abs_trace <= atr_cap.
 
     The level of first appearance equals the true length: any
     representation of such a value has all partial sums dominated by it,
     hence within the cap."""
-    levels, _ = _level_sets(order, atr_cap, cache_dir=cache_dir)
-    roots_of = _Elements(order)
-    rows = []
-    for k, level in enumerate(levels, start=1):
-        for v, roots in sorted(level.items()):
-            rows.append(
-                ProfileRow(
-                    element=order.unscale(v),
-                    length=k,
-                    witness=tuple(roots_of[r] for r in roots),
-                )
-            )
-    return rows
+    return _level_rows(order, level_sets(order, atr_cap, cache_dir=cache_dir), 0)
 
 
 def _cache_path(cache_dir, order, atr_cap):

@@ -35,7 +35,7 @@ from .decomposition import (
     DecompositionError,
     EXACT,
     length,
-    pythagoras_lower_bound,
+    level_sets,
 )
 
 
@@ -604,16 +604,17 @@ def claim_row(claim):
 def _prop44_row(claim):
     """The report row for one Prop. 4.4 entry, given as (entry, scaled).
 
-    The table's maximum length is the stabilization level of the level
-    sets under the trace cap, which is the largest length among the
-    bounded sums of squares; alpha must have exactly that length.
+    The table's maximum length is the number of level sets under the
+    trace cap, their stabilization level, which is the largest length
+    among the bounded sums of squares; alpha must have exactly that
+    length.
     """
     ((p, q), expected_max, coords, den, tr_cap), scaled = claim
     field = classify_field(p, q)
     order = maximal_order(field)
     alpha = field.element(coords, den)
     cap = 30 if scaled else Fraction(tr_cap, field.degree)
-    max_length, _ = pythagoras_lower_bound(order, cap)
+    max_length = len(level_sets(order, cap))
     attains = length(order, alpha).k == expected_max
     return {
         "field": field.to_json(),

@@ -71,6 +71,13 @@ class TestLength:
         assert code == 0
         assert json.loads(out)["status"] == "Exact"
 
+    def test_negative_max_n_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["length", "--p", "2", "--q", "3",
+                  "--elem", "6+sqrt(2)+sqrt(6)", "--max-n", "-1"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestLowerBound:
     def test_atr_cap(self, capsys):
@@ -147,6 +154,13 @@ class TestCapArguments:
             main(["profile", "--p", "2", "--q", "3", *caps])
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    def test_gen_order_needs_field(self, capsys):
+        # only quad: and quad-half: orders name their field themselves
+        with pytest.raises(SystemExit) as exc:
+            main(["lower-bound", "--order", "gen:sqrt(2);sqrt(3)", "--atr-cap", "4"])
+        assert exc.value.code == 2
+        assert "--p and --q are required" in capsys.readouterr().err
 
 
 class TestProfile:
@@ -225,6 +239,18 @@ class TestSweep:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert {(r["p"], r["q"]) for r in rows} == {(17, 19), (17, 21)}
         assert all(r["status"] == "PASS" for r in rows)
+
+    def test_field_that_cannot_be_built_is_skipped(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--family", "MIs1",
+            "--m-range", "1..2", "--s-range", "3..3",
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert [(r["p"], r["q"], r["status"]) for r in rows] == [
+            (1, 3, "SKIP"), (2, 3, "NOT_APPLICABLE"),
+        ]
+        assert "field" not in rows[0] and rows[0]["reason"]
 
     def test_budget_prints_partial_rows(self, capsys):
         code, out, err = run(

@@ -15,7 +15,6 @@ from bqsos.orders import (
 from bqsos.parser import parse_element
 from bqsos.decomposition import (
     CapTooSmall,
-    _level_sets,
     EXACT,
     NOT_SUM_OF_SQUARES,
     NotTotallyNonnegative,
@@ -25,6 +24,7 @@ from bqsos.decomposition import (
     is_sum_of_n_squares,
     length,
     length_profile,
+    level_sets,
     load_level_cache,
     pythagoras_lower_bound,
 )
@@ -283,6 +283,11 @@ class TestIsSumOfNSquares:
         assert is_sum_of_n_squares(BQ23, 1 + F23.sqrt_of(2), 4)[0] is False
         with pytest.raises(ValueError):
             is_sum_of_n_squares(BQ23, F23.one(), -1)
+        # a negative bound is rejected before the zero shortcut
+        with pytest.raises(ValueError):
+            is_sum_of_n_squares(BQ23, F23.zero(), -1)
+        with pytest.raises(ValueError):
+            length(BQ23, F23.zero(), max_n=-1)
 
 
 class TestLowerBound:
@@ -336,9 +341,8 @@ class TestLevelSets:
         orders += [quadratic_order(12), quadratic_order_half(13)]
         for order in orders:
             for cap in (1, Fraction(7, 2), Fraction(15, 2), 8):
-                levels, stabilized = _level_sets(order, cap)
+                levels = level_sets(order, cap)
                 want = nested_loop_levels(order, cap)
-                assert stabilized
                 assert [list(lv.items()) for lv in levels] == [
                     list(lv.items()) for lv in want
                 ], (order, cap)
