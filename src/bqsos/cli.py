@@ -22,9 +22,10 @@ from .decomposition import (
     length_profile,
     pythagoras_lower_bound,
 )
-from .orders import parse_order_description, quadratic_order, quadratic_order_half
+from .orders import parse_order_description
 from .parser import parse_element
-from .verification import Budget, BudgetExceeded, FAMILIES, LEMMA_ITEMS, sweep, verify_table
+from .verification import (Budget, BudgetExceeded, FAMILIES, LEMMA_ITEMS,
+                           SQRT5_S_NOT_1_MIN, sweep, verify_table)
 
 STATUS_NAMES = {
     EXACT: "Exact",
@@ -39,16 +40,12 @@ def _emit(payload):
 
 
 def _resolve_target(args, parser):
-    """(field, order) from --p/--q and an optional order description."""
-    desc = getattr(args, "order", None) or "maximal"
-    if desc.startswith(("quad:", "quad-half:")):
-        order = parse_order_description(desc, None)
-        return order.field, order
+    """The order named by --order, in the field of --p/--q."""
+    if args.order.startswith(("quad:", "quad-half:")):
+        return parse_order_description(args.order, None)
     if args.p is None or args.q is None:
         parser.error("--p and --q are required unless --order is quad:N form")
-    field = classify_field(args.p, args.q)
-    order = parse_order_description(desc, field)
-    return field, order
+    return parse_order_description(args.order, classify_field(args.p, args.q))
 
 
 def _fraction(text):
@@ -60,12 +57,25 @@ def _fraction(text):
 
 
 def _int_range(text):
-    """argparse type for an inclusive integer range such as 17..21."""
+    """argparse type for a nonempty inclusive integer range such as 17..21."""
     lo, _, hi = text.partition("..")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer range A..B: {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: A must not exceed B")
+    return lo, hi
+
+
+def _int_at_least(least):
+    """argparse type for an integer no smaller than `least`."""
+    def integer(text):
+        value = int(text)  # argparse reports a ValueError as an invalid integer
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, not {value}")
+        return value
+    return integer
 
 
 def _cap_from_args(args, field):
@@ -89,11 +99,11 @@ def cmd_classify(args, parser):
 def cmd_length(args, parser):
     if args.max_n is not None and args.max_n < 0:
         parser.error(f"--max-n must be nonnegative, not {args.max_n}")
-    field, order = _resolve_target(args, parser)
-    alpha = parse_element(args.elem, field)
+    order = _resolve_target(args, parser)
+    alpha = parse_element(args.elem, order.field)
     result = length(order, alpha, max_n=args.max_n)
     payload = {
-        "field": field.to_json(),
+        "field": order.field.to_json(),
         "order": order.label,
         "alpha": alpha.to_json(),
         "status": STATUS_NAMES[result.status],
@@ -109,11 +119,11 @@ def cmd_length(args, parser):
 
 
 def cmd_lower_bound(args, parser):
-    field, order = _resolve_target(args, parser)
-    cap = _cap_from_args(args, field)
+    order = _resolve_target(args, parser)
+    cap = _cap_from_args(args, order.field)
     n, witnesses = pythagoras_lower_bound(order, cap, cache_dir=args.cache)
     _emit({
-        "field": field.to_json(),
+        "field": order.field.to_json(),
         "order": order.label,
         "atr_cap": str(cap),
         "lower_bound": n,
@@ -129,8 +139,8 @@ def cmd_lower_bound(args, parser):
 
 
 def cmd_profile(args, parser):
-    field, order = _resolve_target(args, parser)
-    cap = _cap_from_args(args, field)
+    order = _resolve_target(args, parser)
+    cap = _cap_from_args(args, order.field)
     rows = length_profile(order, cap, cache_dir=args.cache)
     if args.format == "csv":
         out = sys.stdout
@@ -142,7 +152,7 @@ def cmd_profile(args, parser):
             )
     else:
         _emit({
-            "field": field.to_json(),
+            "field": order.field.to_json(),
             "order": order.label,
             "atr_cap": str(cap),
             "rows": [
@@ -261,7 +271,7 @@ def build_parser():
                    help="one item of lemma 4.3 (that table only)")
     p.add_argument("--full", action="store_true",
                    help="full published ranges and caps")
-    p.add_argument("--s-max", type=int, default=None,
+    p.add_argument("--s-max", type=_int_at_least(SQRT5_S_NOT_1_MIN), default=None,
                    help="largest s for the open-ended item of lemma 4.3")
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--node-budget", type=int, default=None)
@@ -271,7 +281,7 @@ def build_parser():
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--m-range", required=True, type=_int_range, metavar="A..B")
     p.add_argument("--s-range", required=True, type=_int_range, metavar="C..D")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--resume", default=None, help="JSON-lines file of done rows")
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--node-budget", type=int, default=None)

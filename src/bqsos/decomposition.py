@@ -14,7 +14,9 @@ is the trace ball.  The search prunes with the same predicate.  The form
 is scaled to integers once per walk, and each coordinate's range comes
 from an integer square root, so no float decides anything.
 Hot paths work on the order's scaled coordinates, integer tuples over its
-common denominator (see bqsos.orders); every comparison is exact.  One
+common denominator (see bqsos.orders); every comparison is exact.  Both
+enumerators return one tuple of scaled (root, square) pairs sorted by
+descending trace, which the search and level_sets read as it is.  One
 engine, level_sets, extends the level sets on those tuples packed into
 single ints, and one loop turns its levels into rows.
 """
@@ -26,7 +28,7 @@ import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from fractions import Fraction
 from math import floor, isqrt, lcm
 from operator import mul
@@ -187,45 +189,25 @@ def _dominated(pairs, av, k, tnn):
     ]
 
 
-class SquareSet:
-    """Nonzero squares of order elements under an absolute-trace cap.
-
-    `scaled` holds (root, square) pairs of integer tuples over the order
-    denominator with sign-canonical roots, sorted by descending abs_trace
-    of the square; `squares` holds the same data as Elements.
-    """
-
-    def __init__(self, order, scaled_pairs):
-        self.order = order
-        self.scaled = tuple(sorted(scaled_pairs, key=lambda p: (-p[1][0], p[1])))
-
-    @cached_property
-    def squares(self):
-        return tuple(
-            (self.order.unscale(root), self.order.unscale(sq)) for root, sq in self.scaled
-        )
-
-    def __len__(self):
-        return len(self.scaled)
-
-    def restrict_dominated(self, alpha_scaled):
-        """The subset of squares dominated by the given scaled value."""
-        tnn = self.order.field.tnn_test()
-        return SquareSet(self.order, _dominated(self.scaled, alpha_scaled, 1, tnn))
+def _by_trace(pairs):
+    """The (root, square) pairs as a tuple, by descending square trace."""
+    return tuple(sorted(pairs, key=lambda p: (-p[1][0], p[1])))
 
 
 def enumerate_squares_traced(order, atr_cap):
     """All nonzero squares x*x of order elements with abs_trace <= atr_cap:
-    the walk over the ellipsoid abs_trace(x*x/atr_cap) <= 1, unfiltered."""
+    the walk over the ellipsoid abs_trace(x*x/atr_cap) <= 1, unfiltered,
+    as scaled (root, square) pairs with sign-canonical roots, by _by_trace."""
     atr_cap = Fraction(atr_cap)
     if atr_cap <= 0:
-        return SquareSet(order, ())
+        return ()
     form = _dominance_form(order, order.field.from_rational(atr_cap))
-    return SquareSet(order, _root_squares(order, *form))
+    return _by_trace(_root_squares(order, *form))
 
 
 def enumerate_squares_dominated(order, alpha):
-    """The set of nonzero squares x*x with alpha - x*x totally nonnegative.
+    """The nonzero squares x*x with alpha - x*x totally nonnegative, as
+    scaled (root, square) pairs by _by_trace.
 
     The walk covers the ellipsoid abs_trace(x*x/alpha) <= 1, which holds
     every dominated square (see _dominance_form), and the exact test
@@ -235,11 +217,11 @@ def enumerate_squares_dominated(order, alpha):
     if not alpha.is_totally_nonnegative():
         raise NotTotallyNonnegative(f"{alpha} is not totally nonnegative")
     if alpha.is_zero():
-        return SquareSet(order, ())
+        return ()
     L = lcm(order.den, alpha.den)
     av = tuple(c * (L // alpha.den) for c in alpha.num)
     pairs = _root_squares(order, *_dominance_form(order, alpha))
-    return SquareSet(order, _dominated(pairs, av, L // order.den, order.field.tnn_test()))
+    return _by_trace(_dominated(pairs, av, L // order.den, order.field.tnn_test()))
 
 
 @dataclass
@@ -304,7 +286,8 @@ def length(order, alpha, max_n=None, square_set=None):
     with at most ceil(abs_trace(alpha)) squares exists, the status is
     NotSumOfSquares: every nonzero square in an order has abs_trace at
     least 1.  A smaller max_n that is exhausted first yields Undetermined;
-    a negative max_n raises ValueError.
+    a negative max_n raises ValueError.  A square_set given as the
+    enumerators return it is cut to the squares dominated by alpha.
     """
     if max_n is not None and max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
@@ -328,17 +311,16 @@ def length(order, alpha, max_n=None, square_set=None):
     if av is None:
         return done(NOT_SUM_OF_SQUARES)
 
+    tnn = order.field.tnn_test()
     if square_set is None:
-        square_set = enumerate_squares_dominated(order, alpha)
+        squares = enumerate_squares_dominated(order, alpha)
     else:
-        square_set = square_set.restrict_dominated(av)
-    squares = square_set.scaled
+        squares = _dominated(square_set, av, 1, tnn)
     if not squares:
         return done(NOT_SUM_OF_SQUARES)
 
     cutoff = -(-av[0] // order.den)
     limit = cutoff if max_n is None else min(max_n, cutoff)
-    tnn = order.field.tnn_test()
     for k in range(1, limit + 1):
         roots = _dfs_search(av, squares, k, tnn, counter)
         if roots is not None:
@@ -405,7 +387,7 @@ def level_sets(order, atr_cap, cache_dir=None):
         cached = load_level_cache(cache_dir, order, atr_cap)
         if cached is not None:
             return cached[0]
-    base = enumerate_squares_traced(order, atr_cap).scaled
+    base = enumerate_squares_traced(order, atr_cap)
     # traces are integers, so v[0] + sq[0] <= cap*den iff it is <= floor
     cap = floor(atr_cap * order.den)
     pack, unpack = _packer(len(order.basis), cap)

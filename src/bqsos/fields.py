@@ -505,11 +505,6 @@ class Element:
         """Trace divided by the degree: the rational coordinate."""
         return Fraction(self.num[0], self.den)
 
-    def abs_trace_of_square(self):
-        """abs_trace(self**2) in closed form, without forming the product."""
-        q = sum(v * v * w for v, w in zip(self.num, (1,) + self.field.radicands))
-        return Fraction(q, self.den * self.den)
-
     def sign_at_embedding(self, i):
         return self.field.embedding_sign(self.num, i)
 

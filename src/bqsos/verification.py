@@ -513,7 +513,9 @@ LEMMA_ITEMS = {
 }
 
 # Verified range for the m = 5, s != 1 mod 4 item; the claim extends to
-# s <= 3253 by asymptotic bounds outside computational scope here.
+# s <= 3253 by asymptotic bounds outside computational scope here.  Its
+# least s is 11: 8 is not squarefree, 9 = 1 mod 4 and 5 divides 10.
+SQRT5_S_NOT_1_MIN = 11
 SQRT5_S_NOT_1_COMPUTED_MAX = 499
 
 
@@ -658,7 +660,8 @@ def verify_table(table, item=None, scaled=True, budget=None, s_max=None):
 
     table is one of "thm3.1", "lemma4.3", "prop4.4".  For "lemma4.3" an
     optional item number restricts to one list and s_max bounds the
-    open-ended item; the other tables take neither.  `scaled` limits the
+    open-ended item 15 (one below SQRT5_S_NOT_1_MIN leaves it empty, a
+    ValueError); the other tables take neither.  `scaled` limits the
     open-ended item to a small range (and for "prop4.4" runs the level
     sets at a reduced trace cap).  The budget is checked after every row.
     """
@@ -677,6 +680,8 @@ def verify_table(table, item=None, scaled=True, budget=None, s_max=None):
         claims = []
         for it in [item] if item is not None else sorted(LEMMA_ITEMS):
             family, pairs = _lemma_item_pairs(it, s_max)
+            if not pairs:
+                raise ValueError(f"s_max {s_max} leaves lemma 4.3 item {it} empty")
             claims += [(family, pair, {"item": it}) for pair in pairs]
         return run_claims(claim_row, claims, budget)
 

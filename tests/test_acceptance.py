@@ -273,12 +273,12 @@ def test_criterion_8_property_suite():
     # square-set monotonicity in the cap, and per-element domination subsets
     previous = set()
     for cap in range(1, 9):
-        current = {sq for _, sq in enumerate_squares_traced(order, cap).scaled}
+        current = {sq for _, sq in enumerate_squares_traced(order, cap)}
         assert previous <= current
         assert all(Fraction(sq[0], order.den) <= cap for sq in current)
         previous = current
     alpha = 6 + f23.sqrt_of(2) + f23.sqrt_of(6)
-    dominated = {sq for _, sq in enumerate_squares_dominated(order, alpha).scaled}
+    dominated = {sq for _, sq in enumerate_squares_dominated(order, alpha)}
     assert dominated <= previous
 
     report(8, True, "ring axioms, sign cross-checks, subfield and "

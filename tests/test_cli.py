@@ -210,6 +210,17 @@ class TestVerify:
         assert "usage:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("options", [
+        ("--item", "15", "--s-max", "-5"),
+        ("--item", "15", "--s-max", "10"),
+        ("--s-max", "10"),
+    ])
+    def test_s_max_below_least_s_is_usage_error(self, capsys, options):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--table", "lemma4.3", *options])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options", [
         ("thm3.1", "--item", "3"),
         ("prop4.4", "--item", "3"),
         ("thm3.1", "--s-max", "9"),
@@ -265,11 +276,20 @@ class TestSweep:
     @pytest.mark.parametrize("ranges", [
         ("17", "18..19"),
         ("17..17", "18..x"),
+        ("21..17", "18..23"),
+        ("17..21", "23..18"),
     ])
     def test_malformed_range_is_usage_error(self, capsys, ranges):
         m_range, s_range = ranges
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--family", "MIs1", "--m-range", m_range, "--s-range", s_range])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_zero_jobs_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--family", "MIs1", "--m-range", "17..17",
+                  "--s-range", "19..21", "--jobs", "0"])
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 

@@ -60,12 +60,17 @@ def box_walk_squares(order, cap):
     return out
 
 
+def unscaled(order, pairs):
+    """The scaled (root, square) pairs of an enumeration as Elements."""
+    return [(order.unscale(root), order.unscale(sq)) for root, sq in pairs]
+
+
 def trace_ball_dominated(order, alpha):
     """Reference for the dominated squares: the trace-ball walk under the
     cap abs_trace(alpha), kept where alpha - square is totally nonnegative."""
     field, D = order.field, order.den
     return [
-        (root, sq) for root, sq in enumerate_squares_traced(order, alpha.abs_trace()).scaled
+        (root, sq) for root, sq in enumerate_squares_traced(order, alpha.abs_trace())
         if (alpha - Element.make(field, sq, D)).is_totally_nonnegative()
     ]
 
@@ -105,7 +110,7 @@ def nested_loop_levels(order, cap):
     """Reference level sets: try every (value, square) pair of the last
     level, in base order, and keep the first witness of each new value."""
     cap = Fraction(cap)
-    base = enumerate_squares_traced(order, cap).scaled
+    base = enumerate_squares_traced(order, cap)
     cap_scaled = cap * order.den
     levels = [{sq: (root,) for root, sq in reversed(base)}]
     seen = dict(levels[0])
@@ -126,32 +131,31 @@ def nested_loop_levels(order, cap):
 
 class TestSquareEnumeration:
     def test_small_cap(self):
-        squares = enumerate_squares_traced(BQ23, 2)
-        values = {sq for _, sq in squares.squares}
+        squares = unscaled(BQ23, enumerate_squares_traced(BQ23, 2))
+        values = {sq for _, sq in squares}
         r3 = F23.sqrt_of(3)
         assert values == {F23.one(), F23.from_rational(2), 2 + r3, 2 - r3}
-        for root, sq in squares.squares:
+        for root, sq in squares:
             assert root * root == sq
             assert BQ23.contains(root)
 
     def test_monotone_in_cap(self):
-        small = {sq for _, sq in enumerate_squares_traced(BQ23, 3).squares}
-        large = {sq for _, sq in enumerate_squares_traced(BQ23, 5).squares}
+        small = {sq for _, sq in unscaled(BQ23, enumerate_squares_traced(BQ23, 3))}
+        large = {sq for _, sq in unscaled(BQ23, enumerate_squares_traced(BQ23, 5))}
         assert small <= large
 
     def test_cap_soundness(self):
-        for _, sq in enumerate_squares_traced(BQ23, 5).squares:
+        for _, sq in unscaled(BQ23, enumerate_squares_traced(BQ23, 5)):
             assert sq.abs_trace() <= 5
 
     def test_roots_are_sign_canonical(self):
-        for root, _ in enumerate_squares_traced(BQ23, 4).squares:
+        for root, _ in unscaled(BQ23, enumerate_squares_traced(BQ23, 4)):
             lead = next(c for c in root.coords() if c != 0)
             assert lead > 0
 
     def test_dominated(self):
         alpha = 6 + F23.sqrt_of(2) + F23.sqrt_of(6)
-        squares = enumerate_squares_dominated(BQ23, alpha)
-        for _, sq in squares.squares:
+        for _, sq in unscaled(BQ23, enumerate_squares_dominated(BQ23, alpha)):
             assert (alpha - sq).is_totally_nonnegative()
         with pytest.raises(NotTotallyNonnegative):
             enumerate_squares_dominated(BQ23, 1 + F23.sqrt_of(2))
@@ -159,8 +163,8 @@ class TestSquareEnumeration:
     def test_dominated_outside_order(self):
         # alpha need not lie in the order for domination queries
         alpha = F23.from_rational(Fraction(9, 4))
-        squares = enumerate_squares_dominated(BQ23, alpha)
-        assert {sq for _, sq in squares.squares} == {
+        squares = unscaled(BQ23, enumerate_squares_dominated(BQ23, alpha))
+        assert {sq for _, sq in squares} == {
             F23.one(), F23.from_rational(2)
         }
 
@@ -173,7 +177,7 @@ class TestSquareEnumeration:
         orders += [quadratic_order(12), quadratic_order_half(13)]
         for order in orders:
             for cap in (Fraction(1, 2), 1, Fraction(7, 2), 6):
-                scaled = enumerate_squares_traced(order, cap).scaled
+                scaled = enumerate_squares_traced(order, cap)
                 assert len(set(scaled)) == len(scaled)
                 assert set(scaled) == box_walk_squares(order, cap), (order, cap)
 
@@ -197,7 +201,7 @@ class TestSquareEnumeration:
             ]
             for alpha in alphas:
                 assert alpha.is_totally_nonnegative()
-                got = enumerate_squares_dominated(order, alpha).scaled
+                got = enumerate_squares_dominated(order, alpha)
                 assert list(got) == trace_ball_dominated(order, alpha), (order, alpha)
 
     def test_scaled_coords(self):

@@ -221,12 +221,6 @@ class TestElement:
         assert x.abs_trace() == Fraction(7, 2)
         assert sum(c.coords()[0] for c in x.conjugates()) == 4 * x.abs_trace()
 
-    @given(st.tuples(*[st.integers(-9, 9)] * 4), st.integers(1, 4))
-    def test_abs_trace_of_square(self, num, den):
-        f = classify_field(5, 13)
-        x = Element.make(f, num, den)
-        assert x.abs_trace_of_square() == (x * x).abs_trace()
-
     def test_total_positivity(self):
         f = classify_field(2, 3)
         assert (3 + f.sqrt_of(2)).is_totally_positive()

@@ -13,6 +13,8 @@ from bqsos.verification import (
     FAMILIES,
     FamilyNotApplicable,
     LEMMA_ITEMS,
+    SQRT5_S_NOT_1_MIN,
+    _lemma_item_pairs,
     construct_witness,
     expected_length,
     near_shift_identity,
@@ -121,6 +123,11 @@ class TestLengths:
             ("MNot1", (10, 11), 5),
             ("Sqrt7", (7, 10), 5),
             ("Sqrt13", (6, 13), 6),
+            # B4a with s0 = 13 < 3*t0 = 15: the w = (1+sqrt(m)+sqrt(s)+sqrt(t))/4 branch
+            ("TwelveBranch", (65, 85), 6),
+            ("Tinkova", (30, 39), 6),
+            ("B23Coprime", (10, 17), 6),
+            ("B4Coprime", (17, 21), 6),
         ]
         for family, pq, expected in samples:
             field = classify_field(*pq)
@@ -161,6 +168,16 @@ class TestVerifyTable:
         rows = verify_table("lemma4.3", item=15, s_max=30)
         assert rows and all(row["status"] == "PASS" for row in rows)
         assert all(row["field"]["s"] <= 30 for row in rows)
+
+    def test_least_s_of_open_ended_item(self):
+        assert _lemma_item_pairs(15, SQRT5_S_NOT_1_MIN)[1] == [(5, SQRT5_S_NOT_1_MIN)]
+        assert _lemma_item_pairs(15, SQRT5_S_NOT_1_MIN - 1)[1] == []
+
+    @pytest.mark.parametrize("item", [15, None])
+    @pytest.mark.parametrize("s_max", [-5, SQRT5_S_NOT_1_MIN - 1])
+    def test_s_max_that_empties_open_ended_item(self, item, s_max):
+        with pytest.raises(ValueError, match="item 15"):
+            verify_table("lemma4.3", item=item, s_max=s_max)
 
     def test_unknown_table(self):
         with pytest.raises(ValueError):
