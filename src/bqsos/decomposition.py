@@ -10,9 +10,13 @@ totally positive alpha it holds every square dominated by alpha, since
 x*x <= alpha gives sigma(x)**2/sigma(alpha) <= 1 at each embedding
 sigma, and the field's exact total-nonnegativity predicate (`tnn_test`,
 see bqsos.fields) keeps the dominated ones; at a rational alpha = cap it
-is the trace ball.  The search prunes with the same predicate.  The form
-is scaled to integers once per walk, and each coordinate's range comes
-from an integer square root, so no float decides anything.
+is the trace ball.  The search prunes with the same predicate, which
+bounds every conjugate by integer fixed-point square roots and runs the
+exact sign test only when a bound straddles 0; it stops at depth
+min(ceil(abs_trace), d + 3), past which no length lies (Mordell-Ko, see
+length).  The form is scaled to integers once per walk, and each
+coordinate's range comes from an integer square root, so no float
+decides anything.
 Hot paths work on the order's scaled coordinates, integer tuples over its
 common denominator (see bqsos.orders); every comparison is exact.  Both
 enumerators return one tuple of scaled (root, square) pairs sorted by
@@ -282,12 +286,24 @@ def length(order, alpha, max_n=None, square_set=None):
     """Minimal number of squares of order elements summing to alpha.
 
     Iterative deepening: a depth-first search for at most k squares, for
-    k = 1, 2, ...  When alpha is totally nonnegative but no representation
-    with at most ceil(abs_trace(alpha)) squares exists, the status is
-    NotSumOfSquares: every nonzero square in an order has abs_trace at
-    least 1.  A smaller max_n that is exhausted first yields Undetermined;
-    a negative max_n raises ValueError.  A square_set given as the
-    enumerators return it is cut to the squares dominated by alpha.
+    k = 1, 2, ..., so the least k is found first.  When alpha is totally
+    nonnegative but no representation with at most
+    min(ceil(abs_trace(alpha)), d + 3) squares exists, d the degree, the
+    status is NotSumOfSquares, for two reasons:
+
+    - every nonzero square in an order has abs_trace at least 1;
+    - every sum of squares in an order of degree d <= 5 is a sum of d + 3
+      squares.  By Mordell (1930) and Ko (1937), an integral quadratic
+      form in n <= 5 variables that is a sum of squares of integral linear
+      forms is a sum of n + 3 of them.  If alpha = sum_i x_i**2 with
+      x_i = sum_j a_ij*w_j over a Z-basis w of the order, the form
+      y^T (A^T A) y = sum_i (sum_j a_ij*y_j)**2 in d variables is such a
+      form; it is then a sum of d + 3 squares l_k(y)**2, and y = w gives
+      alpha = sum_k l_k(w)**2 with every l_k(w) in the order.
+
+    A max_n below that minimum that is exhausted first yields
+    Undetermined; a negative max_n raises ValueError.  A square_set given
+    as the enumerators return it is cut to the squares dominated by alpha.
     """
     if max_n is not None and max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
@@ -319,7 +335,7 @@ def length(order, alpha, max_n=None, square_set=None):
     if not squares:
         return done(NOT_SUM_OF_SQUARES)
 
-    cutoff = -(-av[0] // order.den)
+    cutoff = min(-(-av[0] // order.den), order.field.degree + 3)
     limit = cutoff if max_n is None else min(max_n, cutoff)
     for k in range(1, limit + 1):
         roots = _dfs_search(av, squares, k, tnn, counter)

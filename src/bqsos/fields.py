@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 
 
@@ -124,6 +124,18 @@ def biquad_sign(a, b, c, d, m, s, t0):
     return su * quad_sign(w1, w2, m)
 
 
+# Bits after the binary point of the fixed-point square roots that the
+# tnn_test filters use.
+FIX = 64
+
+
+def _fixed_sqrt(r):
+    """R = floor(sqrt(r) * 2**FIX) for a non-square r > 1.  sqrt(r) * 2**FIX
+    is irrational, so c*sqrt(r)*2**FIX lies strictly within |c| of c*R for
+    every nonzero integer c."""
+    return isqrt(r << (2 * FIX))
+
+
 # The predicate built by tnn_test is kept per field in a bounded cache, not
 # on the frozen instance, so that fields stay picklable for worker
 # processes; fields are small values, so holding a few is harmless.
@@ -202,12 +214,24 @@ class QuadraticField(_Field):
 
     @lru_cache(maxsize=_TNN_CACHE)
     def tnn_test(self):
-        """A fast total-nonnegativity predicate on integer coordinate tuples."""
-        n = self.n
+        """A fast total-nonnegativity predicate on integer coordinate tuples.
+
+        A fixed-point filter decides first: with R = _fixed_sqrt(n), 2**FIX
+        times the smaller conjugate a - |b|*sqrt(n) lies strictly within
+        |b| of low = (a << FIX) - |b*R|, or equals low when b = 0.  So
+        low >= |b| makes v totally nonnegative and low + |b| < 0 makes it
+        not; only in between does the exact quad_sign decide.  Every step
+        is integer arithmetic, so no float decides anything."""
+        n, r = self.n, _fixed_sqrt(self.n)
 
         def tnn(v):
             a, b = v
             if a < 0:
+                return False
+            low, slack = (a << FIX) - abs(b * r), abs(b)
+            if low >= slack:
+                return True
+            if low + slack < 0:
                 return False
             return quad_sign(a, b, n) >= 0 and quad_sign(a, -b, n) >= 0
 
@@ -274,15 +298,32 @@ class BiquadraticField(_Field):
 
     @lru_cache(maxsize=_TNN_CACHE)
     def tnn_test(self):
-        """A fast total-nonnegativity predicate on integer coordinate tuples."""
+        """A fast total-nonnegativity predicate on integer coordinate tuples.
+
+        A fixed-point filter decides each embedding first: with x, y, z
+        the coordinates b, c, d times the _fixed_sqrt of their radicands,
+        2**FIX times the conjugate of sign pattern (em, es, et) lies
+        strictly within slack = |b| + |c| + |d| of
+        (a << FIX) + em*x + es*y + et*z, or equals it when slack = 0.  So
+        the conjugate is nonnegative when that value is at least slack and
+        negative when it is below -slack; only in between does the exact
+        biquad_sign decide.  Every step is integer arithmetic, so no float
+        decides anything."""
         m, s, t0 = self.m, self.s, self.t0
+        rm, rs, rt = map(_fixed_sqrt, self.radicands)
 
         def tnn(v):
             a, b, c, d = v
             if a < 0:
                 return False
-            for em, es, et in SIGN_PATTERNS:
-                if biquad_sign(a, em * b, es * c, et * d, m, s, t0) < 0:
+            x, y, z = b * rm, c * rs, d * rt
+            slack = abs(b) + abs(c) + abs(d)
+            # w = em*x + es*y + et*z, in SIGN_PATTERNS order, decides the
+            # conjugate when w >= lo (nonnegative) or w < hi (negative)
+            lo, hi = slack - (a << FIX), -slack - (a << FIX)
+            for w, (em, es, et) in zip((x + y + z, y - x - z, x - y - z, z - x - y),
+                                       SIGN_PATTERNS):
+                if w < lo and (w < hi or biquad_sign(a, em * b, es * c, et * d, m, s, t0) < 0):
                     return False
             return True
 

@@ -640,8 +640,10 @@ def run_claims(row, claims, budget=None, jobs=1, on_row=None):
     Each finished row is passed to on_row, its search nodes are charged to
     the budget, and the budget is checked; a stop raises BudgetExceeded
     carrying every row finished so far.  With jobs > 1 the rows are
-    computed by a process pool.
+    computed by a process pool; jobs below 1 raise ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     rows = []
     parallel = jobs > 1 and len(claims) > 1
     with multiprocessing.Pool(jobs) if parallel else contextlib.nullcontext() as pool:
@@ -700,7 +702,12 @@ def sweep(family, m_range, s_range, budget=None, jobs=1, resume_path=None):
     sorted by (p, q).  With resume_path, rows already recorded in that
     JSON-lines file are loaded instead of recomputed, and each new row is
     appended to it as soon as it is finished, so a budget stop keeps them.
-    An incomplete last line is cut from the file and its row recomputed."""
+    An incomplete last line is cut from the file and its row recomputed.
+    A range (A, B) with A > B raises ValueError, as run_claims does for
+    jobs below 1."""
+    for lo, hi in (m_range, s_range):
+        if lo > hi:
+            raise ValueError(f"empty range {lo}..{hi}: A must not exceed B")
     done = {}
     if resume_path:
         try:

@@ -235,39 +235,44 @@ def test_criterion_8_property_suite():
     # oracle equivalence: on one order of each basis type, plus a custom
     # order and two quadratic conductor orders, the search agrees with the
     # level-set profile (no tnn pruning) on every totally nonnegative
-    # element under the cap, both over the trace-ball pool and over the
-    # squares enumerated for the element alone; every length is at most
-    # degree + 3
+    # element with abs_trace at most `low`, and past degree + 3 up to
+    # `cap`, both over the trace-ball pool and over the squares enumerated
+    # for the element alone; every length is at most degree + 3.  Past
+    # degree + 3 only the Mordell-Ko cut ends the search for a non-sum.
     oracle_cases = [
-        (maximal_order(classify_field(2, 3)), 6),
-        (maximal_order(classify_field(2, 5)), 6),
-        (maximal_order(classify_field(3, 5)), 6),
-        (maximal_order(classify_field(5, 13)), 6),
-        (maximal_order(classify_field(21, 33)), 6),
-        (parse_order_description("gen:sqrt(2);sqrt(3)", f23), 6),
-        (quadratic_order(12), 12),
-        (quadratic_order_half(13), 12),
+        (maximal_order(classify_field(2, 3)), 6, 8),
+        (maximal_order(classify_field(2, 5)), 6, 8),
+        (maximal_order(classify_field(3, 5)), 6, 8),
+        (maximal_order(classify_field(5, 13)), 6, 9),
+        (maximal_order(classify_field(21, 33)), 6, 9),
+        (parse_order_description("gen:sqrt(2);sqrt(3)", f23), 6, 6),
+        (quadratic_order(12), 12, 12),
+        (quadratic_order_half(13), 12, 12),
     ]
-    checked = 0
-    for order, cap in oracle_cases:
+    checked = past_cut = 0
+    for order, low, cap in oracle_cases:
         tnn = order.field.tnn_test()
+        cut = order.field.degree + 3
         zero = (0,) * order.field.degree
         oracle = {zero: 0}
         for row in length_profile(order, cap):
             oracle[order.scaled(row.element)] = row.length
         pool = enumerate_squares_traced(order, cap)
         for v in _tnn_lattice_points(order, cap, tnn):
+            if low * order.den < v[0] <= cut * order.den:
+                continue
             alpha = order.unscale(v)
             result = length(order, alpha, square_set=pool)
             alone = length(order, alpha)
             assert (alone.status, alone.k) == (result.status, result.k), (order.label, str(alpha))
             if result.is_exact:
                 assert oracle.get(v) == result.k, (order.label, str(alpha))
-                assert result.k <= order.field.degree + 3, (order.label, str(alpha))
+                assert result.k <= cut, (order.label, str(alpha))
                 assert replay(alpha, result.witness) and replay(alpha, alone.witness)
             else:
                 assert v not in oracle, (order.label, str(alpha))
             checked += 1
+            past_cut += v[0] > cut * order.den
 
     order = maximal_order(f23)
     # square-set monotonicity in the cap, and per-element domination subsets
@@ -283,7 +288,8 @@ def test_criterion_8_property_suite():
 
     report(8, True, "ring axioms, sign cross-checks, subfield and "
            "quarter-square invariants, oracle equivalence on "
-           f"{checked} elements of {len(oracle_cases)} orders, square-set monotonicity")
+           f"{checked} elements of {len(oracle_cases)} orders ({past_cut} past "
+           "degree + 3), square-set monotonicity")
 
 
 def test_criterion_9_fixed_point_lower_bounds():

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -32,6 +33,15 @@ from bqsos.decomposition import (
 
 BQ23 = maximal_order(classify_field(2, 3))
 F23 = BQ23.field
+
+# one order per basis type, B1, B2, B3, B4a and B4b, and two quadratic
+# conductor orders
+GALOIS_ORDERS = (
+    *(maximal_order(classify_field(p, q))
+      for p, q in ((2, 3), (2, 5), (3, 5), (5, 13), (21, 33))),
+    quadratic_order(12),
+    quadratic_order_half(13),
+)
 
 
 def replay(alpha, witness):
@@ -253,6 +263,41 @@ class TestLength:
         alpha = 6 + F23.sqrt_of(2) + F23.sqrt_of(6)
         result = length(BQ23, alpha, max_n=2)
         assert result.status == UNDETERMINED
+
+    def test_cut_at_degree_plus_three(self):
+        # 8 + sqrt(6) is totally positive and no level of the profile at
+        # cap 8 holds it; its abs_trace 8 exceeds degree + 3 = 7, so a
+        # search to 7 squares decides it, and one to 6 does not
+        alpha = 8 + F23.sqrt_of(6)
+        assert alpha.is_totally_positive()
+        assert alpha not in {row.element for row in length_profile(BQ23, 8)}
+        assert length(BQ23, alpha, max_n=7).status == NOT_SUM_OF_SQUARES
+        assert length(BQ23, alpha, max_n=6).status == UNDETERMINED
+
+    @pytest.mark.parametrize("order", GALOIS_ORDERS, ids=repr)
+    def test_galois_invariance(self, order):
+        # these orders are stable under the Galois group, so every
+        # conjugate of alpha lies in the order and has alpha's length
+        rng = random.Random(repr(order))
+        field, den = order.field, order.den
+        samples = 0
+        while samples < 10:
+            a = rng.randrange(2 * den, 12 * den)
+            coords = [a] + [rng.randint(-isqrt(a * a // r), isqrt(a * a // r))
+                            for r in field.radicands]
+            alpha = Element.make(field, coords, den)
+            if not (order.contains(alpha) and alpha.is_totally_positive()):
+                continue
+            samples += 1
+            results = []
+            for beta in alpha.conjugates():
+                assert order.contains(beta)
+                result = length(order, beta)
+                if result.is_exact:
+                    assert replay(beta, result.witness)
+                    assert all(order.contains(root) for root in result.witness)
+                results.append((result.status, result.k))
+            assert len(set(results)) == 1, (str(alpha), results)
 
     def test_methods_agree(self):
         # the search against the level-set profile, a different algorithm

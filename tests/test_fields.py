@@ -1,6 +1,7 @@
 import pickle
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -46,6 +47,35 @@ def least_tnn_shift(field, rest):
         else:
             lo = mid
     return hi
+
+
+def pell_unit(r):
+    """The least unit x + y*sqrt(r) of Z[sqrt(r)] with y > 0, as (x, y)."""
+    y = 1
+    while True:
+        for target in (r * y * y - 1, r * y * y + 1):
+            x = isqrt(target)
+            if x * x == target:
+                return x, y
+        y += 1
+
+
+def unit_power_cases(field):
+    """The powers 1..60 of a unit of each quadratic subring Z[sqrt(r)]
+    and their shifts by -1 and +1.  A conjugate of a high power lies near
+    0, or near -1 or +1 once shifted, closer than the filter's slack (the
+    radical coordinates' absolute sum over 2**64), so only the exact test
+    decides it."""
+    d = field.degree
+    cases = []
+    for i, r in enumerate(field.radicands, start=1):
+        x, y = pell_unit(r)
+        unit = tuple(x if j == 0 else y if j == i else 0 for j in range(d))
+        v = (1,) + (0,) * (d - 1)
+        for _ in range(60):
+            v = field.mul_coords(v, unit)
+            cases += [(v[0] + e, *v[1:]) for e in (-1, 0, 1)]
+    return cases
 
 
 def det4(cols):
@@ -164,8 +194,10 @@ class TestSigns:
 
     @pytest.mark.parametrize("field", SIGN_FIELDS, ids=repr)
     def test_tnn_test_matches_embedding_signs(self, field):
-        # 0, squares, random tuples, and the boundary: the least totally
-        # nonnegative shift of random radical coordinates and its neighbours
+        # 0, squares, random tuples, the boundary: the least totally
+        # nonnegative shift of random radical coordinates and its
+        # neighbours, and near-zero conjugates that only the exact test
+        # decides
         rng = random.Random(field.radicands[-1])
         tnn, d = field.tnn_test(), field.degree
         cases = [(0,) * d]
@@ -175,7 +207,7 @@ class TestSigns:
             a = least_tnn_shift(field, rest)
             cases += [field.mul_coords(x, x), (rng.randint(-60, 60), *rest),
                       (a - 1, *rest), (a, *rest), (a + 1, *rest)]
-        for v in cases:
+        for v in cases + unit_power_cases(field):
             assert tnn(v) == is_tnn_by_signs(field, v), v
 
     def test_fields_pickle_after_tnn_test(self):

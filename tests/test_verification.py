@@ -15,10 +15,12 @@ from bqsos.verification import (
     LEMMA_ITEMS,
     SQRT5_S_NOT_1_MIN,
     _lemma_item_pairs,
+    claim_row,
     construct_witness,
     expected_length,
     near_shift_identity,
     quadratic_baseline_entries,
+    run_claims,
     sweep,
     verify_table,
 )
@@ -220,6 +222,21 @@ class TestSweep:
         rows = sweep("MIs1", (19, 19), (21, 21))
         assert rows[0]["status"] == "NOT_APPLICABLE"
         assert "m = 1 mod 4" in rows[0]["reason"]
+
+    @pytest.mark.parametrize("m_range, s_range", [((21, 17), (18, 23)),
+                                                  ((17, 17), (23, 18))])
+    def test_reversed_range_raises(self, m_range, s_range):
+        # the CLI rejects a reversed A..B; the library must not read it as
+        # an empty, passed grid
+        with pytest.raises(ValueError, match="must not exceed"):
+            sweep("MIs1", m_range, s_range)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_raise(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            sweep("MIs1", (17, 17), (19, 19), jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            run_claims(claim_row, [], jobs=jobs)
 
     def test_node_budget_stops_with_finished_rows(self, tmp_path):
         # the grid has three rows; the first one alone exceeds one node
