@@ -11,8 +11,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
-from .fields import FieldError, classify_field
+from .fields import Element, FieldError, classify_field
 from .decomposition import (
     DecompositionError,
     EXACT,
@@ -35,8 +36,9 @@ STATUS_NAMES = {
 
 
 def _emit(payload):
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # one write per document: json.dump writes every token separately (and
+    # with an indent both run the pure-Python encoder), json.dumps joins them
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _resolve_target(args, parser):
@@ -122,6 +124,7 @@ def cmd_lower_bound(args, parser):
     order = _resolve_target(args, parser)
     cap = _cap_from_args(args, order.field)
     n, witnesses = pythagoras_lower_bound(order, cap, cache_dir=args.cache)
+    as_json = cache(Element.to_json)  # witnesses share their roots
     _emit({
         "field": order.field.to_json(),
         "order": order.label,
@@ -130,7 +133,7 @@ def cmd_lower_bound(args, parser):
         "witnesses": [
             {
                 "alpha": alpha.to_json(),
-                "decomposition": [w.to_json() for w in roots],
+                "decomposition": list(map(as_json, roots)),
             }
             for alpha, roots in witnesses
         ],
@@ -142,15 +145,18 @@ def cmd_profile(args, parser):
     order = _resolve_target(args, parser)
     cap = _cap_from_args(args, order.field)
     rows = length_profile(order, cap, cache_dir=args.cache)
+    # rows share their roots, so each root is rendered once per call
     if args.format == "csv":
+        pretty = cache(str)
         out = sys.stdout
         out.write("length,abs_trace,alpha,witness\n")
         for row in rows:
-            witness = " + ".join(f"({w})^2" for w in row.witness)
+            witness = " + ".join(f"({pretty(w)})^2" for w in row.witness)
             out.write(
                 f'{row.length},{row.element.abs_trace()},"{row.element}","{witness}"\n'
             )
     else:
+        as_json = cache(Element.to_json)
         _emit({
             "field": order.field.to_json(),
             "order": order.label,
@@ -159,7 +165,7 @@ def cmd_profile(args, parser):
                 {
                     "alpha": row.element.to_json(),
                     "length": row.length,
-                    "witness": [w.to_json() for w in row.witness],
+                    "witness": list(map(as_json, row.witness)),
                 }
                 for row in rows
             ],
@@ -198,8 +204,7 @@ def cmd_verify(args, parser):
 def cmd_sweep(args, parser):
     def emit(rows):
         for row in rows:
-            json.dump(row, sys.stdout)
-            sys.stdout.write("\n")
+            sys.stdout.write(json.dumps(row) + "\n")
         return sum(1 for r in rows if r["status"] == "FAIL")
 
     try:

@@ -56,6 +56,15 @@ def sign(x):
     return (x > 0) - (x < 0)
 
 
+def fraction_str(num, den):
+    """str(Fraction(num, den)) for an integer num and den > 0, reduced by
+    their gcd without building the Fraction."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
+
+
 def is_squarefree(n):
     if n < 1:
         return False
@@ -560,15 +569,17 @@ class Element:
         return (self - other).is_totally_nonnegative()
 
     def __str__(self):
+        """The pretty form, such as 1 + 1/2*sqrt(2) - 1/2*sqrt(6); each
+        coefficient is written as str of its Fraction."""
         names = ("",) + tuple(f"sqrt({r})" for r in self.field.radicands)
         out = ""
         for v, name in zip(self.num, names):
             if v == 0:
                 continue
-            mag = Fraction(abs(v), self.den)
+            mag = fraction_str(abs(v), self.den)
             if name == "":
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = name
             else:
                 body = f"{mag}*{name}"
@@ -579,8 +590,10 @@ class Element:
         return out or "0"
 
     def to_json(self):
-        """Exact coordinates as decimal strings, plus the pretty form."""
-        return {"coords": [str(c) for c in self.coords()], "pretty": str(self)}
+        """The coordinates as the strings str(c) for c in coords(), plus
+        the pretty form."""
+        return {"coords": [fraction_str(v, self.den) for v in self.num],
+                "pretty": str(self)}
 
     def __repr__(self):
         return f"<{self} in {self.field}>"

@@ -349,6 +349,10 @@ def _twelve_branch(field):
              f"need m outside (2, 3, 5, 6, 7, 13), got m = {m}")
     q_role = field.roles[1]
     if m % 4 != 1:
+        # for s - m in (4, 8, 12), near_shift_identity writes alpha0 as a
+        # sum of at most 4 squares, so alpha0 + w^2 has length at most 5
+        _require(s not in (m + 4, m + 8, m + 12),
+                 f"need s != m+4, m+8, m+12, got (m, s) = ({m}, {s})")
         alpha0 = 7 + _sq(1 + field.sqrt_of(m))
         if field.basis_type == "B1":
             if q_role == m:

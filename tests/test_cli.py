@@ -1,8 +1,12 @@
+import csv
 import json
+from fractions import Fraction
 
 import pytest
 
 from bqsos.cli import main
+from bqsos.fields import QuadraticField, classify_field
+from bqsos.parser import parse_element
 
 
 def run(capsys, *argv):
@@ -183,6 +187,69 @@ class TestProfile:
         assert all(row["length"] >= 1 for row in data["rows"])
 
 
+# (target arguments, atr-cap, the field the output's strings parse in)
+DOCUMENT_CASES = [
+    (("--p", "2", "--q", "3"), "8", classify_field(2, 3)),
+    (("--order", "quad-half:13"), "12", QuadraticField(13)),
+    (("--p", "5", "--q", "13"), "7", classify_field(5, 13)),
+]
+
+
+def parsed(field, rendered):
+    """The element of a to_json form; its coords and pretty form agree."""
+    x = parse_element(rendered["pretty"], field)
+    assert [str(c) for c in x.coords()] == rendered["coords"]
+    return x
+
+
+def assert_replays(field, alpha, roots):
+    total = field.zero()
+    for w in roots:
+        total = total + w * w
+    assert total == alpha
+
+
+@pytest.mark.parametrize("target, cap, field", DOCUMENT_CASES,
+                         ids=["B1(2,3)", "quad-half:13", "B4a(5,13)"])
+class TestDocuments:
+    """The printed documents are the json module's and every witness in
+    them parses back and replays."""
+
+    def test_profile_json(self, capsys, target, cap, field):
+        code, out, _ = run(capsys, "profile", *target, "--atr-cap", cap)
+        assert code == 0
+        data = json.loads(out)
+        assert out == json.dumps(data, indent=2) + "\n"
+        assert data["rows"]
+        for row in data["rows"]:
+            roots = [parsed(field, w) for w in row["witness"]]
+            assert len(roots) == row["length"]
+            assert_replays(field, parsed(field, row["alpha"]), roots)
+
+    def test_profile_csv(self, capsys, target, cap, field):
+        code, out, _ = run(capsys, "profile", *target, "--atr-cap", cap, "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert rows
+        for row in rows:
+            alpha = parse_element(row["alpha"], field)
+            assert str(alpha) == row["alpha"]
+            assert Fraction(row["abs_trace"]) == alpha.abs_trace()
+            assert row["witness"].count(")^2") == int(row["length"])
+            assert parse_element(row["witness"], field) == alpha
+
+    def test_lower_bound(self, capsys, target, cap, field):
+        code, out, _ = run(capsys, "lower-bound", *target, "--atr-cap", cap)
+        assert code == 0
+        data = json.loads(out)
+        assert out == json.dumps(data, indent=2) + "\n"
+        assert data["witnesses"]
+        for witness in data["witnesses"]:
+            roots = [parsed(field, w) for w in witness["decomposition"]]
+            assert len(roots) == data["lower_bound"]
+            assert_replays(field, parsed(field, witness["alpha"]), roots)
+
+
 class TestVerify:
     # a row's field object is the one the other commands print for the field
     def test_quadratic_baseline(self, capsys):
@@ -247,9 +314,21 @@ class TestSweep:
             "--m-range", "17..17", "--s-range", "19..21",
         )
         assert code == 0
-        rows = [json.loads(line) for line in out.strip().splitlines()]
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert out == "".join(json.dumps(row) + "\n" for row in rows)
         assert {(r["p"], r["q"]) for r in rows} == {(17, 19), (17, 21)}
         assert all(r["status"] == "PASS" for r in rows)
+
+    def test_twelve_branch_skips_near_shift_fields(self, capsys):
+        # (10, 14): s - m = 4, where 7 + (1+sqrt(10))^2 is a sum of 3 squares
+        code, out, _ = run(
+            capsys, "sweep", "--family", "TwelveBranch",
+            "--m-range", "10..10", "--s-range", "14..14",
+        )
+        assert code == 0
+        (row,) = [json.loads(line) for line in out.splitlines()]
+        assert row["status"] == "NOT_APPLICABLE"
+        assert "m+4" in row["reason"]
 
     def test_field_that_cannot_be_built_is_skipped(self, capsys):
         code, out, _ = run(

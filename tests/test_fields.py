@@ -16,11 +16,12 @@ from bqsos.fields import (
     FieldMismatch,
     QuadraticField,
     classify_field,
+    fraction_str,
     is_squarefree,
     quad_sign,
     squarefree_part,
 )
-from bqsos.orders import maximal_order
+from bqsos.orders import maximal_order, parse_order_description
 from bqsos.parser import parse_element
 
 
@@ -273,12 +274,72 @@ class TestElement:
         assert str(-f.sqrt_of(6)) == "-sqrt(6)"
         assert str(f.element((-3, 2, 0, -4), 2)) == "-3/2 + sqrt(2) - 2*sqrt(6)"
 
+    def test_fraction_str_is_str_of_fraction(self):
+        for den in range(1, 13):
+            for v in range(-30, 31):
+                assert fraction_str(v, den) == str(Fraction(v, den)), (v, den)
+
     def test_quadratic_field(self):
         q = QuadraticField(13)
         w = (1 + q.sqrt_of(13)) / 2
         assert 3 + w * w + (1 + w) ** 2 == 12 + 2 * q.sqrt_of(13)
         with pytest.raises(NotSquarefree):
             QuadraticField(12)
+
+
+def fraction_pretty(x):
+    """The pretty form of x written from its Fraction coordinates: the
+    reference that Element.__str__ must match."""
+    names = ("",) + tuple(f"sqrt({r})" for r in x.field.radicands)
+    terms = []
+    for c, name in zip(x.coords(), names):
+        if c == 0:
+            continue
+        mag = abs(c)
+        body = name if name and mag == 1 else f"{mag}*{name}" if name else str(mag)
+        terms.append(("-" if c < 0 else "+", body))
+    if not terms:
+        return "0"
+    (first_sign, first), *rest = terms
+    head = "-" + first if first_sign == "-" else first
+    return head + "".join(f" {sgn} {body}" for sgn, body in rest)
+
+
+# orders with denominators 1 (quad:12), 2 (quad-half:13, B1 (2,3)) and 4
+# (B4a (5,13), B4b (21,33))
+RENDER_ORDERS = [
+    parse_order_description(desc, field)
+    for desc, field in (("quad:12", None), ("quad-half:13", None),
+                        ("maximal", classify_field(2, 3)),
+                        ("maximal", classify_field(5, 13)),
+                        ("maximal", classify_field(21, 33)))
+]
+
+
+def random_order_elements(order, rng, count):
+    """Zero, the basis, and seeded integer combinations of the basis whose
+    coefficients are mostly 0 and +-1."""
+    basis = order.basis_elements()
+    yield order.field.zero()
+    yield from basis
+    for _ in range(count):
+        coeffs = [rng.choice((0, 0, 1, -1, 1, -1, 2, -3, 5, -7)) for _ in basis]
+        yield sum((c * b for c, b in zip(coeffs, basis)), order.field.zero())
+
+
+class TestRendering:
+    """Element's string forms are those of its Fraction coordinates."""
+
+    @pytest.mark.parametrize("order", RENDER_ORDERS, ids=lambda o: f"{o.field!r}:{o.label}")
+    def test_forms_match_fraction(self, order):
+        rng = random.Random(2105)
+        dens = set()
+        for x in random_order_elements(order, rng, 300):
+            dens.add(x.den)
+            assert x.to_json()["coords"] == [str(c) for c in x.coords()]
+            assert x.to_json()["pretty"] == str(x) == fraction_pretty(x)
+            assert str(-x) == fraction_pretty(-x)
+        assert max(dens) == order.den
 
 
 class TestRingAxioms:

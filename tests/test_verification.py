@@ -89,6 +89,9 @@ class TestConstruction:
         assert b == 12 + 2 * g.sqrt_of(13) + (1 + g.sqrt_of(6)) ** 2
 
     def test_twelve_branch_covers_applicable_fields(self):
+        # for m != 1 mod 4 and s - m in (4, 8, 12) the start 7 + (1+sqrt(m))^2
+        # is a sum of at most 4 squares (near_shift_identity), so the branch
+        # must not apply there; everywhere else it builds an element
         hits = {"B1": 0, "B2": 0, "B3": 0, "B4a": 0, "B4b": 0}
         for p in range(2, 40):
             for q in range(p + 1, 60):
@@ -97,6 +100,10 @@ class TestConstruction:
                 except Exception:
                     continue
                 if field.m in (2, 3, 5, 6, 7, 13):
+                    continue
+                if field.m % 4 != 1 and field.s - field.m in (4, 8, 12):
+                    with pytest.raises(FamilyNotApplicable, match="m\\+4"):
+                        construct_witness("TwelveBranch", field)
                     continue
                 alpha = construct_witness("TwelveBranch", field)
                 assert maximal_order(field).contains(alpha)
