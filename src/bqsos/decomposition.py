@@ -1,5 +1,5 @@
 """Sums-of-squares machinery for order lattices: square enumeration,
-minimal-length search by iterative-deepening DFS (which also decides
+minimal-length search by depth-first search (which also decides
 n-square representability), level sets of all bounded sums of squares,
 and the fixed-point lower-bound iteration.
 
@@ -12,11 +12,12 @@ sigma, and the field's exact total-nonnegativity predicate (`tnn_test`,
 see bqsos.fields) keeps the dominated ones; at a rational alpha = cap it
 is the trace ball.  The search prunes with the same predicate, which
 bounds every conjugate by integer fixed-point square roots and runs the
-exact sign test only when a bound straddles 0; it stops at depth
-min(ceil(abs_trace), d + 3), past which no length lies (Mordell-Ko, see
-length).  The form is scaled to integers once per walk, and each
-coordinate's range comes from an integer square root, so no float
-decides anything.
+exact sign test only when a bound straddles 0.  One exhaustive search
+at depth min(ceil(abs_trace), d + 3), past which no length lies
+(Mordell-Ko), decides whether alpha is a sum of squares; shallower
+searches then shorten what it found to the minimum (see length).  The
+form is scaled to integers once per walk, and each coordinate's range
+comes from an integer square root, so no float decides anything.
 Hot paths work on the order's scaled coordinates, integer tuples over its
 common denominator (see bqsos.orders); every comparison is exact.  Both
 enumerators return one tuple of scaled (root, square) pairs sorted by
@@ -242,7 +243,9 @@ class LengthResult:
 
 
 def _dfs_search(alpha_scaled, squares, k, tnn, counter):
-    """A representation of alpha as a sum of at most k squares, or None."""
+    """The first representation of alpha as a sum of at most k squares,
+    or None; representations are tried as nondecreasing index sequences
+    into squares, in lexicographic order."""
     atrs = [sq[0] for _, sq in squares]
     n = len(squares)
     chosen = []
@@ -285,11 +288,27 @@ def is_sum_of_n_squares(order, alpha, n):
 def length(order, alpha, max_n=None, square_set=None):
     """Minimal number of squares of order elements summing to alpha.
 
-    Iterative deepening: a depth-first search for at most k squares, for
-    k = 1, 2, ..., so the least k is found first.  When alpha is totally
-    nonnegative but no representation with at most
-    min(ceil(abs_trace(alpha)), d + 3) squares exists, d the degree, the
-    status is NotSumOfSquares, for two reasons:
+    Decide, then shorten.  Each depth-first search for at most k squares
+    is exhaustive: it returns a representation with at most k squares
+    whenever one exists.  The first search runs at the cutoff
+    L = min(ceil(abs_trace(alpha)), d + 3), d the degree, and decides
+    whether alpha is a sum of squares at all.  If it finds j squares, the
+    next search runs at j - 1, then at one less than the length just
+    found, until a search fails; that failure at m - 1 shows that no
+    representation has fewer than m squares, so the last length found, m,
+    is the minimum.
+
+    The witness is the one that searches at depths 1, 2, ..., m in turn
+    would return, even when it came from a search at a depth k > m.  A
+    search tries representations, as nondecreasing index sequences into
+    the trace-sorted squares, in lexicographic order, and its cuts drop
+    only branches that cannot finish within the depth left; so at depth k
+    it returns the first representation with at most k squares.  When
+    that one has m squares, it is also the first with at most m, which
+    is what the search at depth m returns.
+
+    When alpha is totally nonnegative but the search at L finds nothing,
+    the status is NotSumOfSquares, for two reasons:
 
     - every nonzero square in an order has abs_trace at least 1;
     - every sum of squares in an order of degree d <= 5 is a sum of d + 3
@@ -301,9 +320,10 @@ def length(order, alpha, max_n=None, square_set=None):
       form; it is then a sum of d + 3 squares l_k(y)**2, and y = w gives
       alpha = sum_k l_k(w)**2 with every l_k(w) in the order.
 
-    A max_n below that minimum that is exhausted first yields
-    Undetermined; a negative max_n raises ValueError.  A square_set given
-    as the enumerators return it is cut to the squares dominated by alpha.
+    A max_n below L replaces it as the first depth, and a failure there
+    yields Undetermined; a negative max_n raises ValueError.  A square_set
+    given as the enumerators return it is cut to the squares dominated by
+    alpha.
     """
     if max_n is not None and max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
@@ -337,11 +357,15 @@ def length(order, alpha, max_n=None, square_set=None):
 
     cutoff = min(-(-av[0] // order.den), order.field.degree + 3)
     limit = cutoff if max_n is None else min(max_n, cutoff)
-    for k in range(1, limit + 1):
-        roots = _dfs_search(av, squares, k, tnn, counter)
-        if roots is not None:
-            witness = tuple(map(order.unscale, roots))
-            return done(EXACT, len(witness), witness)
+    depth, found = limit, None
+    while depth > 0:
+        roots = _dfs_search(av, squares, depth, tnn, counter)
+        if roots is None:
+            break
+        found, depth = roots, len(roots) - 1
+    if found is not None:
+        witness = tuple(map(order.unscale, found))
+        return done(EXACT, len(witness), witness)
 
     if max_n is not None and max_n < cutoff:
         return done(UNDETERMINED)
@@ -494,7 +518,7 @@ def save_level_cache(cache_dir, order, atr_cap, levels, stabilized):
     path = _cache_path(cache_dir, order, atr_cap)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
     os.replace(tmp, path)
     return path
 

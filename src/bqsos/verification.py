@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-import multiprocessing
 import time
 from fractions import Fraction
 from math import gcd, isqrt
@@ -650,6 +649,8 @@ def run_claims(row, claims, budget=None, jobs=1, on_row=None):
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     rows = []
     parallel = jobs > 1 and len(claims) > 1
+    if parallel:
+        import multiprocessing  # only the pool needs it, so serial runs never load it
     with multiprocessing.Pool(jobs) if parallel else contextlib.nullcontext() as pool:
         for done in pool.imap(row, claims) if parallel else map(row, claims):
             rows.append(done)

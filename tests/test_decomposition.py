@@ -20,6 +20,7 @@ from bqsos.decomposition import (
     NOT_SUM_OF_SQUARES,
     NotTotallyNonnegative,
     UNDETERMINED,
+    _dfs_search,
     enumerate_squares_dominated,
     enumerate_squares_traced,
     is_sum_of_n_squares,
@@ -83,6 +84,43 @@ def trace_ball_dominated(order, alpha):
         (root, sq) for root, sq in enumerate_squares_traced(order, alpha.abs_trace())
         if (alpha - Element.make(field, sq, D)).is_totally_nonnegative()
     ]
+
+
+def deepening_length(order, alpha, max_n=None):
+    """Reference search: (status, k, witness) by iterative deepening, one
+    exhaustive search at each depth 1, 2, ... up to
+    min(ceil(abs_trace), d + 3), for a totally positive alpha in the
+    order."""
+    av = order.scaled(alpha)
+    squares = enumerate_squares_dominated(order, alpha)
+    if not squares:
+        return NOT_SUM_OF_SQUARES, None, None
+    cutoff = min(-(-av[0] // order.den), order.field.degree + 3)
+    limit = cutoff if max_n is None else min(max_n, cutoff)
+    tnn = order.field.tnn_test()
+    for k in range(1, limit + 1):
+        roots = _dfs_search(av, squares, k, tnn, [0])
+        if roots is not None:
+            return EXACT, len(roots), tuple(map(order.unscale, roots))
+    if max_n is not None and max_n < cutoff:
+        return UNDETERMINED, None, None
+    return NOT_SUM_OF_SQUARES, None, None
+
+
+def totally_positive_samples(order, count, lo, hi, seed):
+    """count seeded totally positive elements of the order with abs_trace
+    in [lo, hi)."""
+    rng = random.Random(seed)
+    field, den = order.field, order.den
+    out = []
+    while len(out) < count:
+        a = rng.randrange(lo * den, hi * den)
+        coords = [a] + [rng.randint(-isqrt(a * a // r), isqrt(a * a // r))
+                        for r in field.radicands]
+        alpha = Element.make(field, coords, den)
+        if order.contains(alpha) and alpha.is_totally_positive():
+            out.append(alpha)
+    return out
 
 
 # one unit per order, for elements with unbalanced conjugates
@@ -278,17 +316,7 @@ class TestLength:
     def test_galois_invariance(self, order):
         # these orders are stable under the Galois group, so every
         # conjugate of alpha lies in the order and has alpha's length
-        rng = random.Random(repr(order))
-        field, den = order.field, order.den
-        samples = 0
-        while samples < 10:
-            a = rng.randrange(2 * den, 12 * den)
-            coords = [a] + [rng.randint(-isqrt(a * a // r), isqrt(a * a // r))
-                            for r in field.radicands]
-            alpha = Element.make(field, coords, den)
-            if not (order.contains(alpha) and alpha.is_totally_positive()):
-                continue
-            samples += 1
+        for alpha in totally_positive_samples(order, 10, 2, 12, repr(order)):
             results = []
             for beta in alpha.conjugates():
                 assert order.contains(beta)
@@ -312,6 +340,33 @@ class TestLength:
             result = length(BQ23, alpha)
             assert result.is_exact and result.k == profile[alpha]
             assert replay(alpha, result.witness)
+
+
+class TestDecideThenShorten:
+    @pytest.mark.parametrize("order", GALOIS_ORDERS, ids=repr)
+    def test_matches_iterative_deepening(self, order):
+        # same status, length and witness as one search per depth, under
+        # every max_n from 0 to past the d + 3 cutoff
+        verdicts = set()
+        for alpha in totally_positive_samples(order, 12, 8, 14, repr(order)):
+            for max_n in (None, *range(order.field.degree + 4)):
+                result = length(order, alpha, max_n=max_n)
+                want = deepening_length(order, alpha, max_n)
+                assert (result.status, result.k, result.witness) == want, (
+                    str(alpha), max_n)
+                verdicts.add(result.status)
+        assert {EXACT, NOT_SUM_OF_SQUARES} <= verdicts
+
+    def test_negative_verdict_is_one_search(self):
+        # NotSumOfSquares costs only the search at the cutoff
+        # min(ceil(abs_trace), d + 3) = 6, none at depths 1 to 5
+        alpha = 5 + F23.sqrt_of(6)
+        result = length(BQ23, alpha)
+        assert result.status == NOT_SUM_OF_SQUARES
+        counter = [0]
+        squares = enumerate_squares_dominated(BQ23, alpha)
+        assert _dfs_search(BQ23.scaled(alpha), squares, 6, F23.tnn_test(), counter) is None
+        assert result.nodes == counter[0] == 4
 
 
 class TestIsSumOfNSquares:
@@ -415,6 +470,17 @@ class TestCache:
         pythagoras_lower_bound(BQ23, 6, cache_dir=cache)
         other = maximal_order(classify_field(2, 5))
         assert load_level_cache(cache, other, 6) is None
+
+    def test_saved_file_is_compact_json(self, tmp_path):
+        # one json.dumps of the payload, as json.dump writes it
+        import json
+        from bqsos.decomposition import _cache_path
+
+        cache = str(tmp_path)
+        pythagoras_lower_bound(BQ23, 6, cache_dir=cache)
+        with open(_cache_path(cache, BQ23, 6)) as fh:
+            text = fh.read()
+        assert text == json.dumps(json.loads(text))
 
     def test_version_check(self, tmp_path):
         import json

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import bqsos
 from bqsos.fields import classify_field
 from bqsos.orders import maximal_order, quadratic_order, quadratic_order_half
 from bqsos.decomposition import length
@@ -244,6 +248,18 @@ class TestSweep:
             sweep("MIs1", (17, 17), (19, 19), jobs=jobs)
         with pytest.raises(ValueError, match="jobs"):
             run_claims(claim_row, [], jobs=jobs)
+
+    def test_serial_runs_do_not_import_multiprocessing(self):
+        # only a pool needs it; importing the package and the CLI must not
+        # load it
+        src = os.path.dirname(os.path.dirname(bqsos.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        code = ("import sys, bqsos, bqsos.cli; "
+                "print('multiprocessing' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_node_budget_stops_with_finished_rows(self, tmp_path):
         # the grid has three rows; the first one alone exceeds one node
