@@ -1,10 +1,12 @@
 import csv
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from bqsos.cli import main
+from bqsos import cli
+from bqsos.cli import build_parser, main
 from bqsos.fields import QuadraticField, classify_field
 from bqsos.parser import parse_element
 
@@ -382,3 +384,129 @@ class TestSweep:
             (row,) = [json.loads(line) for line in out.strip().splitlines()]
             assert row["status"] == "NOT_APPLICABLE"
             assert "quadratic field" in row["reason"]
+
+
+# one argv per payload shape main emits; the length payloads carry the float
+# millis, and a zero time budget emits the partial rows of a verify table
+EMIT_CASES = {
+    "classify": ("classify", "--p", "5", "--q", "13"),
+    "length-exact": ("length", "--p", "2", "--q", "3", "--elem", "6+sqrt(2)+sqrt(6)"),
+    "length-not-sos": ("length", "--p", "2", "--q", "3", "--elem", "5+sqrt(6)"),
+    "length-undetermined": ("length", "--p", "2", "--q", "3", "--elem", "7", "--max-n", "1"),
+    "lower-bound": ("lower-bound", "--p", "2", "--q", "3", "--atr-cap", "8"),
+    "profile": ("profile", "--order", "quad-half:13", "--atr-cap", "12"),
+    "verify-lemma4.3": ("verify", "--table", "lemma4.3"),
+    "verify-prop4.4": ("verify", "--table", "prop4.4"),
+    "verify-thm3.1": ("verify", "--table", "thm3.1"),
+    "verify-partial": ("verify", "--table", "thm3.1", "--time-budget", "0"),
+}
+LENGTH_STATUSES = {
+    "length-exact": "Exact",
+    "length-not-sos": "NotSumOfSquares",
+    "length-undetermined": "Undetermined",
+}
+
+
+class Labelled(dict):
+    pass
+
+
+class TestRenderer:
+    """_emit prints exactly what json.dumps(payload, indent=2) prints."""
+
+    @pytest.fixture
+    def emitted(self, monkeypatch):
+        payloads = []
+        emit = cli._emit
+
+        def record(payload):
+            payloads.append(payload)
+            emit(payload)
+
+        monkeypatch.setattr(cli, "_emit", record)
+        return payloads
+
+    @pytest.mark.parametrize("case", EMIT_CASES)
+    def test_subcommand_payloads(self, capsys, emitted, case):
+        main(list(EMIT_CASES[case]))
+        (payload,) = emitted
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+        if case in LENGTH_STATUSES:
+            assert payload["status"] == LENGTH_STATUSES[case]
+            assert isinstance(payload["millis"], float)
+        if case == "verify-partial":
+            assert len(payload["rows"]) == 1
+
+    def test_synthetic_payload(self):
+        shared = {"coords": ["1", "-1/2"], "pretty": "1 - 1/2*sqrt(2)"}
+        payload = {
+            "scalars": [True, False, None, 0, -7, 2**64 + 1, 0.1, -0.0, 1e300],
+            "floats": (float("inf"), float("-inf"), float("nan")),
+            "tuple": (1, ("a", ()), [{}]),
+            "text": ["√2 · ∑", "é", "\x00\x1f\t\n\"\\/", "\ud83d\ude00", ""],
+            "empty": [{}, [], {"a": {}, "b": [[], [{}]]}],
+            "subclass": Labelled(x=1, y=Labelled(), z=[Labelled(w="v")]),
+            "keys": {1: "int", 2.5: "float", True: "bool", None: "null"},
+            "shared": [shared, {"deeper": [shared, shared]}, shared],
+            "last": shared,
+        }
+        assert cli._indented_json(payload) == json.dumps(payload, indent=2)
+        for top in ([], {}, "s", 3, None, 1.5, shared):
+            assert cli._indented_json(top) == json.dumps(top, indent=2)
+
+    @pytest.mark.parametrize("payload", [{"k": {1, 2}}, [object()], {(1, 2): 3}],
+                             ids=["set", "object", "tuple-key"])
+    def test_unsupported_types_raise_as_in_json(self, payload):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(payload, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli._indented_json(payload)
+        assert str(got.value) == str(expected.value)
+
+
+class TestParserReuse:
+    """main parses every call with one parser and prints what a fresh
+    parser's call prints."""
+
+    SEQUENCE = [
+        ("profile", "--p", "2", "--q", "5", "--atr-cap", "6", "--format", "csv"),
+        ("profile", "--p", "2", "--q", "5", "--atr-cap", "6"),
+        ("lower-bound", "--p", "2", "--q", "3", "--atr-cap", "8"),
+        ("lower-bound", "--p", "2", "--q", "3", "--tr-cap", "32"),
+        ("profile", "--p", "2", "--q", "3", "--atr-cap", "4", "--tr-cap", "16"),
+        ("length", "--order", "quad-half:13", "--elem", "12+2*sqrt(13)"),
+        ("length", "--p", "2", "--q", "3", "--elem", "7", "--max-n", "1"),
+        ("length", "--p", "2", "--q", "3", "--elem", "7"),
+        ("verify", "--table", "thm3.1", "--item", "3"),
+        ("classify", "--p", "5", "--q", "13"),
+    ]
+
+    def outputs(self, capsys):
+        """(exit code, stdout with millis zeroed, stderr) per call."""
+        seen = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            out = re.sub(r'"millis": [0-9.e+-]+', '"millis": 0', out)
+            seen.append((code, out, err))
+        return seen
+
+    def test_one_parser_per_process(self):
+        assert cli._shared_parser() is cli._shared_parser()
+        assert build_parser() is not build_parser()
+
+    def test_shared_parser_prints_what_fresh_parsers_print(self, capsys, monkeypatch):
+        shared = self.outputs(capsys)
+        monkeypatch.setattr(cli, "_shared_parser", build_parser)
+        fresh = self.outputs(capsys)
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0, 0, 0, 2, 0]
+        assert shared[0][1].startswith("length,abs_trace,")
+        assert json.loads(shared[1][1])["rows"]
+        assert "divided by the degree" in shared[3][2] and not shared[2][2]
+        assert "usage:" in shared[4][2] and "usage:" in shared[8][2]
+        assert json.loads(shared[6][1])["status"] == "Undetermined"
+        assert json.loads(shared[7][1])["status"] == "Exact"
