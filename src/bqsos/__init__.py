@@ -7,6 +7,7 @@ from .fields import (
     FieldError,
     ForeignRadical,
     QuadraticField,
+    UsageError,
     classify_field,
 )
 from .orders import (
@@ -22,7 +23,6 @@ from .decomposition import (
     LengthResult,
     enumerate_squares_dominated,
     enumerate_squares_traced,
-    is_sum_of_n_squares,
     length,
     length_profile,
     pythagoras_lower_bound,
@@ -40,13 +40,13 @@ __all__ = [
     "LengthResult",
     "OrderLattice",
     "QuadraticField",
+    "UsageError",
     "classify_field",
     "construct_witness",
     "custom_order",
     "enumerate_squares_dominated",
     "enumerate_squares_traced",
     "expected_length",
-    "is_sum_of_n_squares",
     "length",
     "length_profile",
     "maximal_order",

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 
-from .fields import Element, FieldError, classify_field, fraction_str
+from .fields import Element, FieldError, UsageError, classify_field, fraction_str
 from .decomposition import (
     DecompositionError,
     EXACT,
@@ -26,8 +26,8 @@ from .decomposition import (
 )
 from .orders import parse_order_description
 from .parser import parse_element
-from .verification import (Budget, BudgetExceeded, FAMILIES, LEMMA_ITEMS,
-                           SQRT5_S_NOT_1_MIN, sweep, verify_table)
+from .verification import (Budget, BudgetExceeded, FAMILIES, LEMMA_ITEMS, sweep,
+                           verify_table)
 
 STATUS_NAMES = {
     EXACT: "Exact",
@@ -36,19 +36,10 @@ STATUS_NAMES = {
 }
 
 
-def _json_key(key):
-    """A dict key as json.dumps writes it: a str, or a float, int, bool or
-    None converted to its JSON text, then quoted."""
-    if isinstance(key, str):
-        return _quote(key)
-    if key is None or isinstance(key, (int, float)):
-        return _quote(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _indented_json(payload):
-    """json.dumps(payload, indent=2), byte for byte, for a tree of dicts,
-    lists, tuples and scalars (subtrees may be shared, not cyclic).
+    """json.dumps(payload, indent=2), byte for byte, for a tree of dicts
+    with str keys, lists, tuples and scalars (subtrees may be shared, not
+    cyclic); any other key raises TypeError.
 
     With an indent the stdlib runs its pure-Python encoder, one generator
     per container and one yield per token; this joins each container's
@@ -86,7 +77,7 @@ def _indented_json(payload):
                 return hit[1]
             inner = pad + "  "
             body = ("," + inner).join([
-                f"{_quote(k) if type(k) is str else _json_key(k)}: "
+                f"{_quote(k)}: "
                 f"{_quote(v) if type(v) is str else render(v, inner)}"
                 for k, v in obj.items()])
             text = f"{{{inner}{body}{pad}}}"
@@ -122,25 +113,12 @@ def _fraction(text):
 
 
 def _int_range(text):
-    """argparse type for a nonempty inclusive integer range such as 17..21."""
+    """argparse type for an inclusive integer range such as 17..21."""
     lo, _, hi = text.partition("..")
     try:
-        lo, hi = int(lo), int(hi)
+        return int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer range A..B: {text!r}") from None
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}: A must not exceed B")
-    return lo, hi
-
-
-def _int_at_least(least):
-    """argparse type for an integer no smaller than `least`."""
-    def integer(text):
-        value = int(text)  # argparse reports a ValueError as an invalid integer
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, not {value}")
-        return value
-    return integer
 
 
 def _cap_from_args(args, field):
@@ -162,8 +140,6 @@ def cmd_classify(args, parser):
 
 
 def cmd_length(args, parser):
-    if args.max_n is not None and args.max_n < 0:
-        parser.error(f"--max-n must be nonnegative, not {args.max_n}")
     order = _resolve_target(args, parser)
     alpha = parse_element(args.elem, order.field)
     result = length(order, alpha, max_n=args.max_n)
@@ -241,26 +217,30 @@ def _budget_from_args(args):
     return Budget(seconds=args.time_budget, nodes=args.node_budget)
 
 
+def _emit_rows(run, emit):
+    """Emit the rows of run() and return 1 if emit counts a failed row,
+    else 0; a budget stop emits the rows finished so far, then re-raises."""
+    try:
+        rows = run()
+    except BudgetExceeded as exc:
+        emit(exc.partial)
+        raise
+    return 0 if emit(rows) == 0 else 1
+
+
 def cmd_verify(args, parser):
     def emit(rows):
         failures = sum(1 for r in rows if r["status"] != "PASS")
         _emit({"table": args.table, "rows": rows, "failures": failures})
         return failures
 
-    if args.table != "lemma4.3" and (args.item is not None or args.s_max is not None):
-        parser.error(f"--item and --s-max apply only to --table lemma4.3, not {args.table}")
-    try:
-        rows = verify_table(
-            args.table,
-            item=args.item,
-            scaled=not args.full,
-            budget=_budget_from_args(args),
-            s_max=args.s_max,
-        )
-    except BudgetExceeded as exc:
-        emit(exc.partial)
-        raise
-    return 0 if emit(rows) == 0 else 1
+    return _emit_rows(lambda: verify_table(
+        args.table,
+        item=args.item,
+        scaled=not args.full,
+        budget=_budget_from_args(args),
+        s_max=args.s_max,
+    ), emit)
 
 
 def cmd_sweep(args, parser):
@@ -269,19 +249,14 @@ def cmd_sweep(args, parser):
             sys.stdout.write(json.dumps(row) + "\n")
         return sum(1 for r in rows if r["status"] == "FAIL")
 
-    try:
-        rows = sweep(
-            args.family,
-            args.m_range,
-            args.s_range,
-            budget=_budget_from_args(args),
-            jobs=args.jobs,
-            resume_path=args.resume,
-        )
-    except BudgetExceeded as exc:
-        emit(exc.partial)
-        raise
-    return 0 if emit(rows) == 0 else 1
+    return _emit_rows(lambda: sweep(
+        args.family,
+        args.m_range,
+        args.s_range,
+        budget=_budget_from_args(args),
+        jobs=args.jobs,
+        resume_path=args.resume,
+    ), emit)
 
 
 def build_parser():
@@ -338,7 +313,7 @@ def build_parser():
                    help="one item of lemma 4.3 (that table only)")
     p.add_argument("--full", action="store_true",
                    help="full published ranges and caps")
-    p.add_argument("--s-max", type=_int_at_least(SQRT5_S_NOT_1_MIN), default=None,
+    p.add_argument("--s-max", type=int, default=None,
                    help="largest s for the open-ended item of lemma 4.3")
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--node-budget", type=int, default=None)
@@ -348,7 +323,7 @@ def build_parser():
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--m-range", required=True, type=_int_range, metavar="A..B")
     p.add_argument("--s-range", required=True, type=_int_range, metavar="C..D")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--resume", default=None, help="JSON-lines file of done rows")
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--node-budget", type=int, default=None)
@@ -367,6 +342,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
+    except UsageError as exc:
+        parser.error(str(exc))  # exits 2, with the usage line on stderr
     except (FieldError, DecompositionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

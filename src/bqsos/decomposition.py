@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import floor, isqrt, lcm
 from operator import mul
 
-from .fields import Element, FieldError
+from .fields import Element, FieldError, UsageError
 
 
 class DecompositionError(FieldError):
@@ -273,18 +273,6 @@ def _dfs_search(alpha_scaled, squares, k, tnn, counter):
     return None
 
 
-def is_sum_of_n_squares(order, alpha, n):
-    """Whether alpha is a sum of at most n squares of order elements.
-
-    Returns (answer, witness) where witness is a tuple of root Elements
-    when the answer is True.  A negative n raises ValueError.
-    """
-    result = length(order, alpha, max_n=n)
-    if result.is_exact:
-        return True, result.witness
-    return False, None
-
-
 def length(order, alpha, max_n=None, square_set=None):
     """Minimal number of squares of order elements summing to alpha.
 
@@ -321,12 +309,12 @@ def length(order, alpha, max_n=None, square_set=None):
       alpha = sum_k l_k(w)**2 with every l_k(w) in the order.
 
     A max_n below L replaces it as the first depth, and a failure there
-    yields Undetermined; a negative max_n raises ValueError.  A square_set
+    yields Undetermined; a negative max_n raises UsageError.  A square_set
     given as the enumerators return it is cut to the squares dominated by
     alpha.
     """
     if max_n is not None and max_n < 0:
-        raise ValueError(f"max_n must be nonnegative, got {max_n}")
+        raise UsageError(f"max_n must be nonnegative, got {max_n}")
     start = time.monotonic()
     counter = [0]
 

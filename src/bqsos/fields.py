@@ -27,6 +27,11 @@ class FieldError(Exception):
     pass
 
 
+class UsageError(ValueError):
+    """An argument that breaks a usage rule of a library call, such as a
+    negative max_n or a reversed range; the CLI reports it as exit 2."""
+
+
 class NotSquarefree(FieldError):
     pass
 

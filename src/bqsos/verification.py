@@ -26,6 +26,7 @@ from math import gcd, isqrt
 from .fields import (
     FieldError,
     QuadraticField,
+    UsageError,
     classify_field,
     is_squarefree,
 )
@@ -635,6 +636,11 @@ def _prop44_row(claim):
     }
 
 
+def _check_jobs(jobs):
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
+
+
 def run_claims(row, claims, budget=None, jobs=1, on_row=None):
     """Report rows for a list of claims, in order: row(claim) for each
     claim, as map gives them; row is a module-level function, so that
@@ -643,10 +649,9 @@ def run_claims(row, claims, budget=None, jobs=1, on_row=None):
     Each finished row is passed to on_row, its search nodes are charged to
     the budget, and the budget is checked; a stop raises BudgetExceeded
     carrying every row finished so far.  With jobs > 1 the rows are
-    computed by a process pool; jobs below 1 raise ValueError.
+    computed by a process pool; jobs below 1 raise UsageError.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    _check_jobs(jobs)
     rows = []
     parallel = jobs > 1 and len(claims) > 1
     if parallel:
@@ -667,13 +672,15 @@ def verify_table(table, item=None, scaled=True, budget=None, s_max=None):
 
     table is one of "thm3.1", "lemma4.3", "prop4.4".  For "lemma4.3" an
     optional item number restricts to one list and s_max bounds the
-    open-ended item 15 (one below SQRT5_S_NOT_1_MIN leaves it empty, a
-    ValueError); the other tables take neither.  `scaled` limits the
-    open-ended item to a small range (and for "prop4.4" runs the level
-    sets at a reduced trace cap).  The budget is checked after every row.
+    open-ended item 15, whose least s is SQRT5_S_NOT_1_MIN; the other
+    tables take neither.  An unknown table or item, an s_max below that
+    least s, and an item or s_max on another table raise UsageError.
+    `scaled` limits the open-ended item to a small range (and for
+    "prop4.4" runs the level sets at a reduced trace cap).  The budget is
+    checked after every row.
     """
     if table != "lemma4.3" and (item is not None or s_max is not None):
-        raise ValueError(f"item and s_max apply only to table lemma4.3, not {table!r}")
+        raise UsageError(f"item and s_max apply only to table lemma4.3, not {table!r}")
     if table == "thm3.1":
         claims = [("QuadraticThm31", order, {})
                   for order, _, _ in quadratic_baseline_entries()]
@@ -681,14 +688,15 @@ def verify_table(table, item=None, scaled=True, budget=None, s_max=None):
 
     if table == "lemma4.3":
         if item is not None and item not in LEMMA_ITEMS:
-            raise ValueError(f"unknown lemma 4.3 item {item!r}")
+            raise UsageError(f"unknown lemma 4.3 item {item!r}")
         if s_max is None:
             s_max = 50 if scaled else SQRT5_S_NOT_1_COMPUTED_MAX
+        elif s_max < SQRT5_S_NOT_1_MIN:
+            raise UsageError(f"s_max must be at least {SQRT5_S_NOT_1_MIN}, the least s "
+                             f"of lemma 4.3 item 15, not {s_max}")
         claims = []
         for it in [item] if item is not None else sorted(LEMMA_ITEMS):
             family, pairs = _lemma_item_pairs(it, s_max)
-            if not pairs:
-                raise ValueError(f"s_max {s_max} leaves lemma 4.3 item {it} empty")
             claims += [(family, pair, {"item": it}) for pair in pairs]
         return run_claims(claim_row, claims, budget)
 
@@ -696,7 +704,7 @@ def verify_table(table, item=None, scaled=True, budget=None, s_max=None):
         return run_claims(_prop44_row, [(entry, scaled) for entry in PROP44_ENTRIES],
                           budget)
 
-    raise ValueError(f"unknown table {table!r}")
+    raise UsageError(f"unknown table {table!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -704,15 +712,20 @@ def verify_table(table, item=None, scaled=True, budget=None, s_max=None):
 
 def sweep(family, m_range, s_range, budget=None, jobs=1, resume_path=None):
     """Run construct-and-measure over the grid of fields; returns rows
-    sorted by (p, q).  With resume_path, rows already recorded in that
-    JSON-lines file are loaded instead of recomputed, and each new row is
-    appended to it as soon as it is finished, so a budget stop keeps them.
-    An incomplete last line is cut from the file and its row recomputed.
-    A range (A, B) with A > B raises ValueError, as run_claims does for
-    jobs below 1."""
+    sorted by (p, q).  With resume_path, the rows of this family and grid
+    already recorded in that JSON-lines file are loaded instead of
+    recomputed, and each new row is appended to it as soon as it is
+    finished, so a budget stop keeps them; rows of other families and
+    grids stay in the file and are not returned.  An incomplete last line
+    is cut from the file and its row recomputed.  A range (A, B) with
+    A > B and jobs below 1 raise UsageError before the file is opened."""
     for lo, hi in (m_range, s_range):
         if lo > hi:
-            raise ValueError(f"empty range {lo}..{hi}: A must not exceed B")
+            raise UsageError(f"empty range {lo}..{hi}: A must not exceed B")
+    _check_jobs(jobs)
+    grid = [(a, b)
+            for a in range(m_range[0], m_range[1] + 1) if is_squarefree(a)
+            for b in range(s_range[0], s_range[1] + 1) if b != a and is_squarefree(b)]
     done = {}
     if resume_path:
         try:
@@ -723,20 +736,15 @@ def sweep(family, m_range, s_range, budget=None, jobs=1, resume_path=None):
                 fh.truncate(len(data))
         except FileNotFoundError:
             data = b""
+        wanted = set(grid)
         for line in data.splitlines():
             if line.strip():
                 row = json.loads(line)
-                done[(row["p"], row["q"])] = row
+                if row["family"] == family and (row["p"], row["q"]) in wanted:
+                    done[(row["p"], row["q"])] = row
 
-    claims = []
-    for a in range(m_range[0], m_range[1] + 1):
-        if not is_squarefree(a):
-            continue
-        for b in range(s_range[0], s_range[1] + 1):
-            if b == a or not is_squarefree(b):
-                continue
-            if (a, b) not in done:
-                claims.append((family, (a, b), {"p": a, "q": b}))
+    claims = [(family, pair, {"p": pair[0], "q": pair[1]})
+              for pair in grid if pair not in done]
 
     def with_done(fresh):
         return sorted([*done.values(), *fresh], key=lambda r: (r["p"], r["q"]))

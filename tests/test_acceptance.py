@@ -19,7 +19,6 @@ from bqsos.orders import (
 from bqsos.decomposition import (
     enumerate_squares_dominated,
     enumerate_squares_traced,
-    is_sum_of_n_squares,
     length,
     length_profile,
     pythagoras_lower_bound,
@@ -99,7 +98,7 @@ def test_criterion_4_length_seven_element():
     field = classify_field(10, 11)
     order = maximal_order(field)
     alpha = construct_witness("B1CoprimeLen7", field)
-    not_six = not is_sum_of_n_squares(order, alpha, 6)[0]
+    not_six = not length(order, alpha, max_n=6).is_exact
     result = length(order, alpha)
     ok = (not_six and result.is_exact and result.k == 7
           and replay(alpha, result.witness))

@@ -7,8 +7,11 @@ import pytest
 
 from bqsos import cli
 from bqsos.cli import build_parser, main
-from bqsos.fields import QuadraticField, classify_field
+from bqsos.decomposition import length
+from bqsos.fields import QuadraticField, UsageError, classify_field
+from bqsos.orders import maximal_order
 from bqsos.parser import parse_element
+from bqsos.verification import sweep, verify_table
 
 
 def run(capsys, *argv):
@@ -386,6 +389,49 @@ class TestSweep:
             assert "quadratic field" in row["reason"]
 
 
+# each usage rule, checked once in the library: (library call, CLI argv)
+USAGE_RULES = {
+    "max_n-nonnegative": (
+        lambda: length(maximal_order(classify_field(2, 3)), classify_field(2, 3).one(),
+                       max_n=-1),
+        ("length", "--p", "2", "--q", "3", "--elem", "7", "--max-n", "-1")),
+    "lemma-options-on-another-table": (
+        lambda: verify_table("thm3.1", item=3),
+        ("verify", "--table", "thm3.1", "--item", "3")),
+    "s_max-at-least-least-s": (
+        lambda: verify_table("lemma4.3", item=1, s_max=10),
+        ("verify", "--table", "lemma4.3", "--item", "1", "--s-max", "10")),
+    "range-not-reversed": (
+        lambda: sweep("MIs1", (21, 17), (18, 23)),
+        ("sweep", "--family", "MIs1", "--m-range", "21..17", "--s-range", "18..23")),
+    "jobs-at-least-one": (
+        lambda: sweep("MIs1", (17, 17), (19, 21), jobs=0),
+        ("sweep", "--family", "MIs1", "--m-range", "17..17", "--s-range", "19..21",
+         "--jobs", "0")),
+}
+
+
+class TestUsageRules:
+    """The library raises UsageError, a ValueError, for a usage rule; the
+    CLI reports it as exit 2 with its usage line."""
+
+    @pytest.mark.parametrize("rule", USAGE_RULES)
+    def test_library_raises_usage_error(self, rule):
+        call, _ = USAGE_RULES[rule]
+        with pytest.raises(UsageError) as exc:
+            call()
+        assert isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("rule", USAGE_RULES)
+    def test_cli_exits_2(self, capsys, rule):
+        _, argv = USAGE_RULES[rule]
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err and not captured.out
+
+
 # one argv per payload shape main emits; the length payloads carry the float
 # millis, and a zero time budget emits the partial rows of a verify table
 EMIT_CASES = {
@@ -446,7 +492,6 @@ class TestRenderer:
             "text": ["√2 · ∑", "é", "\x00\x1f\t\n\"\\/", "\ud83d\ude00", ""],
             "empty": [{}, [], {"a": {}, "b": [[], [{}]]}],
             "subclass": Labelled(x=1, y=Labelled(), z=[Labelled(w="v")]),
-            "keys": {1: "int", 2.5: "float", True: "bool", None: "null"},
             "shared": [shared, {"deeper": [shared, shared]}, shared],
             "last": shared,
         }
@@ -454,14 +499,20 @@ class TestRenderer:
         for top in ([], {}, "s", 3, None, 1.5, shared):
             assert cli._indented_json(top) == json.dumps(top, indent=2)
 
-    @pytest.mark.parametrize("payload", [{"k": {1, 2}}, [object()], {(1, 2): 3}],
-                             ids=["set", "object", "tuple-key"])
+    @pytest.mark.parametrize("payload", [
+        {"k": {1, 2}}, [object()], {(1, 2): 3},
+        # json.dumps converts these keys to str; no CLI payload has one, so
+        # the renderer takes str keys only
+        {1: "int"}, {2.5: "float"}, {True: "bool"}, {None: "null"},
+    ], ids=["set", "object", "tuple-key", "int-key", "float-key", "bool-key", "null-key"])
     def test_unsupported_types_raise_as_in_json(self, payload):
-        with pytest.raises(TypeError) as expected:
-            json.dumps(payload, indent=2)
         with pytest.raises(TypeError) as got:
             cli._indented_json(payload)
-        assert str(got.value) == str(expected.value)
+        if not isinstance(payload, dict) or all(type(k) is str for k in payload):
+            # an unsupported value is reported as json.dumps reports it
+            with pytest.raises(TypeError) as expected:
+                json.dumps(payload, indent=2)
+            assert str(got.value) == str(expected.value)
 
 
 class TestParserReuse:

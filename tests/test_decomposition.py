@@ -23,7 +23,6 @@ from bqsos.decomposition import (
     _dfs_search,
     enumerate_squares_dominated,
     enumerate_squares_traced,
-    is_sum_of_n_squares,
     length,
     length_profile,
     level_sets,
@@ -369,27 +368,29 @@ class TestDecideThenShorten:
         assert result.nodes == counter[0] == 4
 
 
-class TestIsSumOfNSquares:
+class TestMaxN:
+    """length(..., max_n=n) decides whether alpha is a sum of at most n
+    squares: Exact when it is."""
+
     def test_at_most_semantics(self):
         alpha = F23.from_rational(4)
-        ok, witness = is_sum_of_n_squares(BQ23, alpha, 3)
-        assert ok and len(witness) <= 3
-        assert replay(alpha, witness)
+        result = length(BQ23, alpha, max_n=3)
+        assert result.is_exact and len(result.witness) <= 3
+        assert replay(alpha, result.witness)
 
     def test_threshold(self):
         alpha = 6 + F23.sqrt_of(2) + F23.sqrt_of(6)
-        assert not is_sum_of_n_squares(BQ23, alpha, 2)[0]
-        ok, witness = is_sum_of_n_squares(BQ23, alpha, 3)
-        assert ok and replay(alpha, witness)
+        assert not length(BQ23, alpha, max_n=2).is_exact
+        result = length(BQ23, alpha, max_n=3)
+        assert result.is_exact and replay(alpha, result.witness)
 
     def test_zero_and_negatives(self):
-        assert is_sum_of_n_squares(BQ23, F23.zero(), 0) == (True, ())
-        assert is_sum_of_n_squares(BQ23, 1 + F23.sqrt_of(2), 4)[0] is False
+        result = length(BQ23, F23.zero(), max_n=0)
+        assert (result.is_exact, result.witness) == (True, ())
+        assert length(BQ23, 1 + F23.sqrt_of(2), max_n=4).is_exact is False
         with pytest.raises(ValueError):
-            is_sum_of_n_squares(BQ23, F23.one(), -1)
+            length(BQ23, F23.one(), max_n=-1)
         # a negative bound is rejected before the zero shortcut
-        with pytest.raises(ValueError):
-            is_sum_of_n_squares(BQ23, F23.zero(), -1)
         with pytest.raises(ValueError):
             length(BQ23, F23.zero(), max_n=-1)
 

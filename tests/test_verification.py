@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import bqsos
-from bqsos.fields import classify_field
+from bqsos.fields import UsageError, classify_field
 from bqsos.orders import maximal_order, quadratic_order, quadratic_order_half
 from bqsos.decomposition import length
 from bqsos.verification import (
@@ -296,3 +296,32 @@ class TestSweep:
         text = path.read_text()
         assert text.startswith(whole)
         assert [json.loads(line) for line in text.splitlines()] == rows
+
+    def test_resume_ignores_rows_of_another_family(self, tmp_path):
+        # MIs1 passes at (17, 19), where MNot1 does not apply
+        path = str(tmp_path / "rows.jsonl")
+        (mis1,) = sweep("MIs1", (17, 17), (19, 19), resume_path=path)
+        rows = sweep("MNot1", (17, 17), (19, 19), resume_path=path)
+        assert rows == sweep("MNot1", (17, 17), (19, 19))
+        assert rows[0]["status"] == "NOT_APPLICABLE"
+        with open(path) as fh:
+            assert [json.loads(line) for line in fh] == [mis1, *rows]
+
+    def test_resume_ignores_rows_outside_the_grid(self, tmp_path):
+        path = str(tmp_path / "rows.jsonl")
+        (mis1,) = sweep("MIs1", (17, 17), (19, 19), resume_path=path)
+        rows = sweep("Sqrt7", (7, 7), (10, 10), resume_path=path)
+        assert [(row["family"], row["p"], row["q"]) for row in rows] == [("Sqrt7", 7, 10)]
+        with open(path) as fh:
+            assert [json.loads(line) for line in fh] == [mis1, *rows]
+
+    @pytest.mark.parametrize("options", [{"jobs": 0}, {"m_range": (21, 17)}])
+    def test_usage_error_leaves_resume_file_untouched(self, tmp_path, options):
+        # a last line cut off by a kill, which a run would drop
+        path = tmp_path / "rows.jsonl"
+        data = b'{"p": 17, "q": 19, "family": "MIs1", "status": "PASS"}\n{"p": 17, "q"'
+        path.write_bytes(data)
+        args = {"m_range": (17, 17), "s_range": (19, 22), **options}
+        with pytest.raises(UsageError):
+            sweep("MIs1", **args, resume_path=str(path))
+        assert path.read_bytes() == data
