@@ -95,12 +95,12 @@ def _emit(payload):
     sys.stdout.write(_indented_json(payload) + "\n")
 
 
-def _resolve_target(args, parser):
+def _resolve_target(args):
     """The order named by --order, in the field of --p/--q."""
     if args.order.startswith(("quad:", "quad-half:")):
         return parse_order_description(args.order, None)
     if args.p is None or args.q is None:
-        parser.error("--p and --q are required unless --order is quad:N form")
+        raise UsageError("--p and --q are required unless --order is quad:N form")
     return parse_order_description(args.order, classify_field(args.p, args.q))
 
 
@@ -133,14 +133,14 @@ def _cap_from_args(args, field):
     return cap
 
 
-def cmd_classify(args, parser):
+def cmd_classify(args):
     field = classify_field(args.p, args.q)
     _emit(field.to_json())
     return 0
 
 
-def cmd_length(args, parser):
-    order = _resolve_target(args, parser)
+def cmd_length(args):
+    order = _resolve_target(args)
     alpha = parse_element(args.elem, order.field)
     result = length(order, alpha, max_n=args.max_n)
     payload = {
@@ -159,8 +159,8 @@ def cmd_length(args, parser):
     return 0
 
 
-def cmd_lower_bound(args, parser):
-    order = _resolve_target(args, parser)
+def cmd_lower_bound(args):
+    order = _resolve_target(args)
     cap = _cap_from_args(args, order.field)
     n, witnesses = pythagoras_lower_bound(order, cap, cache_dir=args.cache)
     as_json = cache(Element.to_json)  # witnesses share their roots
@@ -180,8 +180,8 @@ def cmd_lower_bound(args, parser):
     return 0
 
 
-def cmd_profile(args, parser):
-    order = _resolve_target(args, parser)
+def cmd_profile(args):
+    order = _resolve_target(args)
     cap = _cap_from_args(args, order.field)
     rows = length_profile(order, cap, cache_dir=args.cache)
     # rows share their roots, so each root is rendered once per call
@@ -228,7 +228,7 @@ def _emit_rows(run, emit):
     return 0 if emit(rows) == 0 else 1
 
 
-def cmd_verify(args, parser):
+def cmd_verify(args):
     def emit(rows):
         failures = sum(1 for r in rows if r["status"] != "PASS")
         _emit({"table": args.table, "rows": rows, "failures": failures})
@@ -243,7 +243,7 @@ def cmd_verify(args, parser):
     ), emit)
 
 
-def cmd_sweep(args, parser):
+def cmd_sweep(args):
     def emit(rows):
         for row in rows:
             sys.stdout.write(json.dumps(row) + "\n")
@@ -268,8 +268,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_field_args(p, order=True):
-        p.add_argument("--p", type=int, default=None, help="first generator radicand")
-        p.add_argument("--q", type=int, default=None, help="second generator radicand")
+        # without --order the generators name the field, so they are required
+        p.add_argument("--p", type=int, default=None, required=not order,
+                       help="first generator radicand")
+        p.add_argument("--q", type=int, default=None, required=not order,
+                       help="second generator radicand")
         if order:
             p.add_argument(
                 "--order",
@@ -287,24 +290,24 @@ def build_parser():
 
     p = sub.add_parser("classify", help="canonical field data as JSON")
     add_field_args(p, order=False)
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, parser=p)
 
     p = sub.add_parser("length", help="exact length of an element")
     add_field_args(p)
     p.add_argument("--elem", required=True, help="element expression")
     p.add_argument("--max-n", type=int, default=None)
-    p.set_defaults(func=cmd_length)
+    p.set_defaults(func=cmd_length, parser=p)
 
     p = sub.add_parser("lower-bound", help="Pythagoras-number lower bound")
     add_field_args(p)
     add_cap_args(p)
-    p.set_defaults(func=cmd_lower_bound)
+    p.set_defaults(func=cmd_lower_bound, parser=p)
 
     p = sub.add_parser("profile", help="length of every bounded element")
     add_field_args(p)
     add_cap_args(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_profile)
+    p.set_defaults(func=cmd_profile, parser=p)
 
     p = sub.add_parser("verify", help="recompute a table of known lengths")
     p.add_argument("--table", required=True,
@@ -317,7 +320,7 @@ def build_parser():
                    help="largest s for the open-ended item of lemma 4.3")
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--node-budget", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("sweep", help="run a witness family over a field grid")
     p.add_argument("--family", required=True, choices=FAMILIES)
@@ -327,7 +330,7 @@ def build_parser():
     p.add_argument("--resume", default=None, help="JSON-lines file of done rows")
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--node-budget", type=int, default=None)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, parser=p)
 
     return parser
 
@@ -338,12 +341,12 @@ _shared_parser = cache(build_parser)
 
 
 def main(argv=None):
-    parser = _shared_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except UsageError as exc:
-        parser.error(str(exc))  # exits 2, with the usage line on stderr
+        # exits 2, with the subcommand's usage line on stderr
+        args.parser.error(str(exc))
     except (FieldError, DecompositionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,22 +8,26 @@ basis, so every visited point lies in the order, bounded by the ellipsoid
 abs_trace(x*x/alpha) <= 1 of one form builder (Fincke-Pohst).  At a
 totally positive alpha it holds every square dominated by alpha, since
 x*x <= alpha gives sigma(x)**2/sigma(alpha) <= 1 at each embedding
-sigma, and the field's exact total-nonnegativity predicate (`tnn_test`,
-see bqsos.fields) keeps the dominated ones; at a rational alpha = cap it
-is the trace ball.  The search prunes with the same predicate, which
-bounds every conjugate by integer fixed-point square roots and runs the
-exact sign test only when a bound straddles 0.  One exhaustive search
-at depth min(ceil(abs_trace), d + 3), past which no length lies
-(Mordell-Ko), decides whether alpha is a sum of squares; shallower
-searches then shorten what it found to the minimum (see length).  The
-form is scaled to integers once per walk, and each coordinate's range
-comes from an integer square root, so no float decides anything.
-Hot paths work on the order's scaled coordinates, integer tuples over its
-common denominator (see bqsos.orders); every comparison is exact.  Both
-enumerators return one tuple of scaled (root, square) pairs sorted by
-descending trace, which the search and level_sets read as it is.  One
-engine, level_sets, extends the level sets on those tuples packed into
-single ints, and one loop turns its levels into rows.
+sigma, and one filter keeps the dominated ones; at a rational
+alpha = cap it is the trace ball.  The filter builds each square's
+vector of integer fixed-point conjugates and its slack
+(`fixed_conjugates`, see bqsos.fields), decides alpha - square from
+those bounds, and runs the exact test (`tnn_test`) only where a bound
+straddles 0.  The search reads the vectors the filter kept: each
+residual carries its own, a candidate costs one vector difference and
+one minimum, and again only a straddle runs the exact test.  One
+exhaustive search at depth min(ceil(abs_trace), d + 3), past which no
+length lies (Mordell-Ko), decides whether alpha is a sum of squares;
+shallower searches then shorten what it found to the minimum (see
+length).  The form is scaled to integers once per walk, and each
+coordinate's range comes from an integer square root, so no float
+decides anything.  Hot paths work on the order's scaled coordinates,
+integer tuples over its common denominator (see bqsos.orders); every
+comparison is exact.  Both enumerators return one tuple of scaled
+(root, square) pairs sorted by descending trace, which
+length(..., square_set=) and level_sets read as it is.  One engine,
+level_sets, extends the level sets on those tuples packed into single
+ints, and one loop turns its levels into rows.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import floor, isqrt, lcm
-from operator import mul
+from operator import mul, sub
 
 from .fields import Element, FieldError, UsageError
 
@@ -58,10 +62,6 @@ NOT_SUM_OF_SQUARES = "not_sum_of_squares"
 UNDETERMINED = "undetermined"
 
 CACHE_VERSION = 1
-
-
-def _sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
 
 
 def _reverse_ldl(gram):
@@ -185,17 +185,35 @@ def _root_squares(order, e, lam):
     return ((root, mul(root, root)) for root in _enumerate_roots(order, e, lam))
 
 
-def _dominated(pairs, av, k, tnn):
-    """The (root, square) pairs with av - k*square totally nonnegative."""
-    return [
-        (root, sq)
-        for root, sq in pairs
-        if k * sq[0] <= av[0] and tnn(tuple(a - k * c for a, c in zip(av, sq)))
-    ]
+def _dominated(pairs, av, k, field):
+    """(root, square, conj, slack) for each (root, square) pair with
+    av - k*square totally nonnegative, where (conj, slack) are the
+    square's fixed-point conjugates and slack (field.fixed_conjugates),
+    kept for the search.
+
+    A pair is decided as the search decides a candidate (see _dfs_search),
+    on av's conjugates minus k times the square's with slack
+    slack(av) + k*slack(square); only a straddle runs the exact tnn_test
+    on av - k*square."""
+    fixed, tnn = field.fixed_conjugates(), field.tnn_test()
+    top = av[0]
+    av_conj, av_slack = fixed(av)
+    kept = []
+    for root, sq in pairs:
+        if k * sq[0] > top:
+            continue
+        conj, slack = fixed(sq)
+        lo = min(map(sub, av_conj, conj if k == 1 else [k * c for c in conj]))
+        bound = av_slack + k * slack
+        if lo >= bound or (lo >= -bound
+                           and tnn(tuple(a - k * c for a, c in zip(av, sq)))):
+            kept.append((root, sq, conj, slack))
+    return kept
 
 
 def _by_trace(pairs):
-    """The (root, square) pairs as a tuple, by descending square trace."""
+    """The (root, square, ...) entries as a tuple, by descending square
+    trace."""
     return tuple(sorted(pairs, key=lambda p: (-p[1][0], p[1])))
 
 
@@ -215,8 +233,8 @@ def enumerate_squares_dominated(order, alpha):
     scaled (root, square) pairs by _by_trace.
 
     The walk covers the ellipsoid abs_trace(x*x/alpha) <= 1, which holds
-    every dominated square (see _dominance_form), and the exact test
-    keeps the dominated ones.  alpha need not lie in the order: both
+    every dominated square (see _dominance_form), and _dominated keeps
+    the dominated ones.  alpha need not lie in the order: both
     sides are compared over the common denominator of alpha and the
     order."""
     if not alpha.is_totally_nonnegative():
@@ -225,8 +243,14 @@ def enumerate_squares_dominated(order, alpha):
         return ()
     L = lcm(order.den, alpha.den)
     av = tuple(c * (L // alpha.den) for c in alpha.num)
+    return tuple(p[:2] for p in _dominated_squares(order, alpha, av, L // order.den))
+
+
+def _dominated_squares(order, alpha, av, k):
+    """_dominated over the walk of the ellipsoid abs_trace(x*x/alpha) <= 1,
+    by _by_trace."""
     pairs = _root_squares(order, *_dominance_form(order, alpha))
-    return _by_trace(_dominated(pairs, av, L // order.den, order.field.tnn_test()))
+    return _by_trace(_dominated(pairs, av, k, order.field))
 
 
 @dataclass
@@ -242,33 +266,55 @@ class LengthResult:
         return self.status == EXACT
 
 
-def _dfs_search(alpha_scaled, squares, k, tnn, counter):
-    """The first representation of alpha as a sum of at most k squares,
-    or None; representations are tried as nondecreasing index sequences
-    into squares, in lexicographic order."""
-    atrs = [sq[0] for _, sq in squares]
+def _dfs_search(av, squares, k, field, counter):
+    """The first representation of alpha, with scaled coordinates av, as a
+    sum of at most k squares, or None; representations are tried as
+    nondecreasing index sequences into squares, the (root, square, conj,
+    slack) entries of _dominated by descending trace, in lexicographic
+    order.
+
+    Every residual res carries its fixed-point conjugates and a slack (see
+    field.fixed_conjugates): alpha's own, then the parent's minus the
+    square's, with the parent's slack plus the square's.  The conjugates
+    are linear in the coordinates, so they are exactly those of res, and
+    the summed slack is at least the sum of |res_j| that bounds their
+    error.  A candidate square is then decided from lo, the least
+    conjugate of res - square, and its slack: lo >= slack accepts,
+    lo < -slack rejects, and only a straddle runs the exact tnn_test on
+    res - square.  An accepted residual is totally nonnegative, so it is
+    zero exactly when its trace is."""
+    fixed, tnn = field.fixed_conjugates(), field.tnn_test()
+    roots = [p[0] for p in squares]
+    sqs = [p[1] for p in squares]
+    atrs = [sq[0] for sq in sqs]
+    conjs = [p[2] for p in squares]
+    slacks = [p[3] for p in squares]
     n = len(squares)
     chosen = []
 
-    def rec(res, start, remaining):
+    def rec(res, conj, slack, start, remaining):
         counter[0] += 1
-        if not any(res):
+        t = res[0]
+        if not t:
             return True
         for i in range(start, n):
             a = atrs[i]
-            if a * remaining < res[0]:
+            if a * remaining < t:
                 return False
-            if a > res[0]:
+            if a > t:
                 continue
-            diff = _sub(res, squares[i][1])
-            if tnn(diff):
-                chosen.append(squares[i][0])
-                if rec(diff, i, remaining - 1):
-                    return True
-                chosen.pop()
+            sq_conj = conjs[i]
+            lo, bound = min(map(sub, conj, sq_conj)), slack + slacks[i]
+            if lo < bound and (lo < -bound or not tnn(tuple(map(sub, res, sqs[i])))):
+                continue
+            chosen.append(roots[i])
+            if rec(tuple(map(sub, res, sqs[i])), tuple(map(sub, conj, sq_conj)),
+                   bound, i, remaining - 1):
+                return True
+            chosen.pop()
         return False
 
-    if rec(alpha_scaled, 0, k):
+    if rec(av, *fixed(av), 0, k):
         return tuple(chosen)
     return None
 
@@ -335,19 +381,19 @@ def length(order, alpha, max_n=None, square_set=None):
     if av is None:
         return done(NOT_SUM_OF_SQUARES)
 
-    tnn = order.field.tnn_test()
+    field = order.field
     if square_set is None:
-        squares = enumerate_squares_dominated(order, alpha)
+        squares = _dominated_squares(order, alpha, av, 1)
     else:
-        squares = _dominated(square_set, av, 1, tnn)
+        squares = _dominated(square_set, av, 1, field)
     if not squares:
         return done(NOT_SUM_OF_SQUARES)
 
-    cutoff = min(-(-av[0] // order.den), order.field.degree + 3)
+    cutoff = min(-(-av[0] // order.den), field.degree + 3)
     limit = cutoff if max_n is None else min(max_n, cutoff)
     depth, found = limit, None
     while depth > 0:
-        roots = _dfs_search(av, squares, depth, tnn, counter)
+        roots = _dfs_search(av, squares, depth, field, counter)
         if roots is None:
             break
         found, depth = roots, len(roots) - 1

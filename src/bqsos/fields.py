@@ -8,8 +8,9 @@ point is involved anywhere in this module.
 
 The field owns everything that depends on which field it is: its Galois
 action on coordinate tuples (a sign pattern on the radicals per real
-embedding), the exact sign at each embedding, the fast
-total-nonnegativity predicate the search runs in its inner loop
+embedding), the exact sign at each embedding, the integer fixed-point
+conjugates that the search compares in its inner loop
+(`fixed_conjugates`), the total-nonnegativity predicate built on them
 (`tnn_test`), its integral basis (`basis_matrix`) and its JSON form
 (`to_json`).  Element and the other modules delegate to it.
 """
@@ -28,8 +29,9 @@ class FieldError(Exception):
 
 
 class UsageError(ValueError):
-    """An argument that breaks a usage rule of a library call, such as a
-    negative max_n or a reversed range; the CLI reports it as exit 2."""
+    """An argument that breaks a usage rule, such as a negative max_n, a
+    reversed range or an unknown family; the CLI reports it as exit 2,
+    with the usage line of the subcommand."""
 
 
 class NotSquarefree(FieldError):
@@ -138,8 +140,7 @@ def biquad_sign(a, b, c, d, m, s, t0):
     return su * quad_sign(w1, w2, m)
 
 
-# Bits after the binary point of the fixed-point square roots that the
-# tnn_test filters use.
+# Bits after the binary point of the fixed-point conjugates.
 FIX = 64
 
 
@@ -150,9 +151,10 @@ def _fixed_sqrt(r):
     return isqrt(r << (2 * FIX))
 
 
-# The predicate built by tnn_test is kept per field in a bounded cache, not
-# on the frozen instance, so that fields stay picklable for worker
-# processes; fields are small values, so holding a few is harmless.
+# The functions built by fixed_conjugates and tnn_test are kept per field
+# in a bounded cache, not on the frozen instance, so that fields stay
+# picklable for worker processes; fields are small values, so holding a
+# few is harmless.
 _TNN_CACHE = 256
 
 
@@ -162,7 +164,17 @@ class _Field:
     A subclass is a frozen dataclass with `radicands`, `sign_patterns` (the
     signs that the i-th real embedding puts on the coordinates of the
     radicals), `mul_coords`, `_sign` (the exact sign of a coordinate tuple
-    at the identity embedding) and `tnn_test`.
+    at the identity embedding) and `fixed_conjugates`.
+
+    fixed_conjugates() returns a function from integer coordinates
+    v = (a, v_1, ..., v_{d-1}) to (F, slack): one fixed-point conjugate
+    F_k = (a << FIX) + sum_j e_kj*v_j*R_j per embedding, e_k the k-th sign
+    pattern and R_j = _fixed_sqrt(r_j), and slack = sum_j |v_j|.  Then
+    2**FIX times the k-th conjugate of v lies strictly within slack of
+    F_k, or equals F_k when slack = 0 (see _fixed_sqrt), so F_k >= slack
+    makes that conjugate nonnegative and F_k < -slack makes it negative.
+    F is linear in v: the F of v - w is F(v) - F(w), and its error is
+    bounded the same way by slack(v) + slack(w).
     """
 
     @property
@@ -200,6 +212,25 @@ class _Field:
         coordinates (over any positive denominator) at the i-th embedding."""
         return self._sign(self.conjugate(coords, i))
 
+    @lru_cache(maxsize=_TNN_CACHE)
+    def tnn_test(self):
+        """A fast total-nonnegativity predicate on integer coordinate tuples.
+
+        Each conjugate is decided by its fixed-point bound first (see
+        fixed_conjugates): only a bound that straddles 0 runs the exact
+        embedding_sign.  Every step is integer arithmetic, so no float
+        decides anything."""
+        fixed, exact = self.fixed_conjugates(), self.embedding_sign
+
+        def tnn(v):
+            if v[0] < 0:
+                return False
+            conj, slack = fixed(v)
+            return all(f >= slack or (f >= -slack and exact(v, k) >= 0)
+                       for k, f in enumerate(conj))
+
+        return tnn
+
 
 @dataclass(frozen=True)
 class QuadraticField(_Field):
@@ -227,29 +258,18 @@ class QuadraticField(_Field):
         return quad_sign(*coords, self.n)
 
     @lru_cache(maxsize=_TNN_CACHE)
-    def tnn_test(self):
-        """A fast total-nonnegativity predicate on integer coordinate tuples.
+    def fixed_conjugates(self):
+        """The fixed-point conjugates of integer coordinates (a, b): with
+        R = _fixed_sqrt(n), ((a << FIX) + b*R, (a << FIX) - b*R) and the
+        slack |b| (see _Field.fixed_conjugates)."""
+        r = _fixed_sqrt(self.n)
 
-        A fixed-point filter decides first: with R = _fixed_sqrt(n), 2**FIX
-        times the smaller conjugate a - |b|*sqrt(n) lies strictly within
-        |b| of low = (a << FIX) - |b*R|, or equals low when b = 0.  So
-        low >= |b| makes v totally nonnegative and low + |b| < 0 makes it
-        not; only in between does the exact quad_sign decide.  Every step
-        is integer arithmetic, so no float decides anything."""
-        n, r = self.n, _fixed_sqrt(self.n)
-
-        def tnn(v):
+        def fixed(v):
             a, b = v
-            if a < 0:
-                return False
-            low, slack = (a << FIX) - abs(b * r), abs(b)
-            if low >= slack:
-                return True
-            if low + slack < 0:
-                return False
-            return quad_sign(a, b, n) >= 0 and quad_sign(a, -b, n) >= 0
+            a, x = a << FIX, b * r
+            return (a + x, a - x), abs(b)
 
-        return tnn
+        return fixed
 
     def basis_matrix(self):
         """Columns of the integral basis in (1, sqrt n) coords."""
@@ -311,37 +331,21 @@ class BiquadraticField(_Field):
         return biquad_sign(*coords, self.m, self.s, self.t0)
 
     @lru_cache(maxsize=_TNN_CACHE)
-    def tnn_test(self):
-        """A fast total-nonnegativity predicate on integer coordinate tuples.
-
-        A fixed-point filter decides each embedding first: with x, y, z
-        the coordinates b, c, d times the _fixed_sqrt of their radicands,
-        2**FIX times the conjugate of sign pattern (em, es, et) lies
-        strictly within slack = |b| + |c| + |d| of
-        (a << FIX) + em*x + es*y + et*z, or equals it when slack = 0.  So
-        the conjugate is nonnegative when that value is at least slack and
-        negative when it is below -slack; only in between does the exact
-        biquad_sign decide.  Every step is integer arithmetic, so no float
-        decides anything."""
-        m, s, t0 = self.m, self.s, self.t0
+    def fixed_conjugates(self):
+        """The fixed-point conjugates of integer coordinates (a, b, c, d):
+        with x, y, z the coordinates b, c, d times the _fixed_sqrt of their
+        radicands, (a << FIX) + em*x + es*y + et*z for each sign pattern
+        (em, es, et) in SIGN_PATTERNS order, and the slack |b| + |c| + |d|
+        (see _Field.fixed_conjugates)."""
         rm, rs, rt = map(_fixed_sqrt, self.radicands)
 
-        def tnn(v):
+        def fixed(v):
             a, b, c, d = v
-            if a < 0:
-                return False
-            x, y, z = b * rm, c * rs, d * rt
-            slack = abs(b) + abs(c) + abs(d)
-            # w = em*x + es*y + et*z, in SIGN_PATTERNS order, decides the
-            # conjugate when w >= lo (nonnegative) or w < hi (negative)
-            lo, hi = slack - (a << FIX), -slack - (a << FIX)
-            for w, (em, es, et) in zip((x + y + z, y - x - z, x - y - z, z - x - y),
-                                       SIGN_PATTERNS):
-                if w < lo and (w < hi or biquad_sign(a, em * b, es * c, et * d, m, s, t0) < 0):
-                    return False
-            return True
+            a, x, y, z = a << FIX, b * rm, c * rs, d * rt
+            return ((a + x + y + z, a - x + y - z, a + x - y - z, a - x - y + z),
+                    abs(b) + abs(c) + abs(d))
 
-        return tnn
+        return fixed
 
     def basis_matrix(self):
         """Columns of the integral basis in (1, sqrt m, sqrt s, sqrt t) coords."""

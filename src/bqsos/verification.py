@@ -453,11 +453,16 @@ def construct_witness(family, target):
     """The catalog element for the family, in the given field or order.
 
     `target` is a BiquadraticField for biquadratic families and an
-    OrderLattice for the quadratic ones.
+    OrderLattice for the quadratic ones; an unknown family raises
+    UsageError.
     """
-    if family not in _BUILDERS:
-        raise ValueError(f"unknown family {family!r}")
+    _check_family(family)
     return _BUILDERS[family](target)
+
+
+def _check_family(family):
+    if family not in _BUILDERS:
+        raise UsageError(f"unknown family {family!r}")
 
 
 def expected_length(family, target=None):
@@ -516,11 +521,11 @@ LEMMA_ITEMS = {
     16: ("Sqrt13", [(6, 13), (7, 13), (10, 13), (11, 13)]),
 }
 
-# Verified range for the m = 5, s != 1 mod 4 item; the claim extends to
-# s <= 3253 by asymptotic bounds outside computational scope here.  Its
-# least s is 11: 8 is not squarefree, 9 = 1 mod 4 and 5 divides 10.
+# Range of the m = 5, s != 1 mod 4 item: every s <= 3253, the range of the
+# claim, is now computed (verify --full), not argued.  Its least s is 11:
+# 8 is not squarefree, 9 = 1 mod 4 and 5 divides 10.
 SQRT5_S_NOT_1_MIN = 11
-SQRT5_S_NOT_1_COMPUTED_MAX = 499
+SQRT5_S_NOT_1_COMPUTED_MAX = 3253
 
 
 def _lemma_item_pairs(item, s_max):
@@ -717,8 +722,10 @@ def sweep(family, m_range, s_range, budget=None, jobs=1, resume_path=None):
     recomputed, and each new row is appended to it as soon as it is
     finished, so a budget stop keeps them; rows of other families and
     grids stay in the file and are not returned.  An incomplete last line
-    is cut from the file and its row recomputed.  A range (A, B) with
-    A > B and jobs below 1 raise UsageError before the file is opened."""
+    is cut from the file and its row recomputed.  An unknown family, a
+    range (A, B) with A > B and jobs below 1 raise UsageError before the
+    file is opened."""
+    _check_family(family)
     for lo, hi in (m_range, s_range):
         if lo > hi:
             raise UsageError(f"empty range {lo}..{hi}: A must not exceed B")

@@ -169,7 +169,15 @@ class TestCapArguments:
         with pytest.raises(SystemExit) as exc:
             main(["lower-bound", "--order", "gen:sqrt(2);sqrt(3)", "--atr-cap", "4"])
         assert exc.value.code == 2
-        assert "--p and --q are required" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bqsos lower-bound") and "--p and --q are required" in err
+
+    def test_classify_needs_field(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--p", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bqsos classify") and "--q" in err
 
 
 class TestProfile:
@@ -408,12 +416,15 @@ USAGE_RULES = {
         lambda: sweep("MIs1", (17, 17), (19, 21), jobs=0),
         ("sweep", "--family", "MIs1", "--m-range", "17..17", "--s-range", "19..21",
          "--jobs", "0")),
+    "family-known": (
+        lambda: sweep("Nope", (17, 17), (19, 19)),
+        ("sweep", "--family", "Nope", "--m-range", "17..17", "--s-range", "19..19")),
 }
 
 
 class TestUsageRules:
     """The library raises UsageError, a ValueError, for a usage rule; the
-    CLI reports it as exit 2 with its usage line."""
+    CLI reports it as exit 2 with the usage line of the subcommand."""
 
     @pytest.mark.parametrize("rule", USAGE_RULES)
     def test_library_raises_usage_error(self, rule):
@@ -429,7 +440,7 @@ class TestUsageRules:
             main(list(argv))
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "usage:" in captured.err and not captured.out
+        assert captured.err.startswith(f"usage: bqsos {argv[0]} ") and not captured.out
 
 
 # one argv per payload shape main emits; the length payloads carry the float

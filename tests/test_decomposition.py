@@ -21,6 +21,7 @@ from bqsos.decomposition import (
     NotTotallyNonnegative,
     UNDETERMINED,
     _dfs_search,
+    _dominated,
     enumerate_squares_dominated,
     enumerate_squares_traced,
     length,
@@ -85,6 +86,38 @@ def trace_ball_dominated(order, alpha):
     ]
 
 
+def reference_search(alpha_scaled, squares, k, tnn, counter):
+    """Reference search kernel: the first representation of alpha as a
+    sum of at most k of the (root, square) pairs, tried as nondecreasing
+    index sequences in lexicographic order, each candidate residual built
+    as a coordinate tuple and decided by tnn alone."""
+    atrs = [sq[0] for _, sq in squares]
+    n = len(squares)
+    chosen = []
+
+    def rec(res, start, remaining):
+        counter[0] += 1
+        if not any(res):
+            return True
+        for i in range(start, n):
+            a = atrs[i]
+            if a * remaining < res[0]:
+                return False
+            if a > res[0]:
+                continue
+            diff = tuple(x - y for x, y in zip(res, squares[i][1]))
+            if tnn(diff):
+                chosen.append(squares[i][0])
+                if rec(diff, i, remaining - 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if rec(alpha_scaled, 0, k):
+        return tuple(chosen)
+    return None
+
+
 def deepening_length(order, alpha, max_n=None):
     """Reference search: (status, k, witness) by iterative deepening, one
     exhaustive search at each depth 1, 2, ... up to
@@ -98,12 +131,44 @@ def deepening_length(order, alpha, max_n=None):
     limit = cutoff if max_n is None else min(max_n, cutoff)
     tnn = order.field.tnn_test()
     for k in range(1, limit + 1):
-        roots = _dfs_search(av, squares, k, tnn, [0])
+        roots = reference_search(av, squares, k, tnn, [0])
         if roots is not None:
             return EXACT, len(roots), tuple(map(order.unscale, roots))
     if max_n is not None and max_n < cutoff:
         return UNDETERMINED, None, None
     return NOT_SUM_OF_SQUARES, None, None
+
+
+def reference_length(order, alpha, square_set=None):
+    """Reference for length's searches: (status, k, witness, nodes) from
+    decide-then-shorten on reference_search, for a totally positive alpha
+    in the order, over its dominated squares or the dominated part of
+    square_set."""
+    av = order.scaled(alpha)
+    if square_set is None:
+        squares = enumerate_squares_dominated(order, alpha)
+    else:
+        squares = reference_dominated(order, alpha, square_set)
+    counter = [0]
+    depth = min(-(-av[0] // order.den), order.field.degree + 3)
+    found = None
+    while squares and depth > 0:
+        roots = reference_search(av, squares, depth, order.field.tnn_test(), counter)
+        if roots is None:
+            break
+        found, depth = roots, len(roots) - 1
+    if found is None:
+        return NOT_SUM_OF_SQUARES, None, None, counter[0]
+    return EXACT, len(found), tuple(map(order.unscale, found)), counter[0]
+
+
+def reference_dominated(order, alpha, pairs):
+    """The (root, square) pairs with alpha - square totally nonnegative, by
+    the exact sign at each embedding."""
+    field, av = order.field, order.scaled(alpha)
+    return [(root, sq) for root, sq in pairs
+            if all(field.embedding_sign(tuple(map(int.__sub__, av, sq)), k) >= 0
+                   for k in range(field.degree))]
 
 
 def totally_positive_samples(order, count, lo, hi, seed):
@@ -363,9 +428,75 @@ class TestDecideThenShorten:
         result = length(BQ23, alpha)
         assert result.status == NOT_SUM_OF_SQUARES
         counter = [0]
-        squares = enumerate_squares_dominated(BQ23, alpha)
-        assert _dfs_search(BQ23.scaled(alpha), squares, 6, F23.tnn_test(), counter) is None
+        av = BQ23.scaled(alpha)
+        squares = _dominated(enumerate_squares_dominated(BQ23, alpha), av, 1, F23)
+        assert _dfs_search(av, squares, 6, F23, counter) is None
         assert result.nodes == counter[0] == 4
+
+
+class TestSearchKernel:
+    @pytest.mark.parametrize("order", GALOIS_ORDERS, ids=repr)
+    def test_matches_reference_kernel(self, order):
+        # the fixed-point kernel makes the same searches as the reference
+        # kernel: same status, length, witness and node count, on the
+        # orders and abs-trace band of the search-random workload
+        verdicts = set()
+        for alpha in totally_positive_samples(order, 16, 12, 16, repr(order)):
+            result = length(order, alpha)
+            assert (result.status, result.k, result.witness, result.nodes) == (
+                reference_length(order, alpha)), str(alpha)
+            verdicts.add(result.status)
+        assert verdicts == {EXACT, NOT_SUM_OF_SQUARES}
+
+    @pytest.mark.parametrize("order", (quadratic_maximal_order(2), BQ23), ids=repr)
+    def test_straddle_falls_back_to_exact_test(self, order):
+        # alpha = 3*u**2 with u = (1 + sqrt(2))**13 is 2*u**2 + u**2.  Both
+        # residuals, u**2 and 2*u**2, have a conjugate below 2**-32, far
+        # closer to 0 than the slack of their fixed-point bounds allows to
+        # decide, so only the exact test accepts them: a reject in its
+        # place leaves no representation
+        field = order.field
+        u = parse_element("1+sqrt(2)", field) ** 13
+        roots = (field.sqrt_of(2) * u, u)
+        alpha = 3 * u * u
+        fixed = field.fixed_conjugates()
+        av = order.scaled(alpha)
+        alpha_conj, alpha_slack = fixed(av)
+        square_set = []
+        for root in roots:
+            sq = order.scaled(root * root)
+            conj, slack = fixed(sq)
+            lo, bound = min(map(int.__sub__, alpha_conj, conj)), alpha_slack + slack
+            assert -bound <= lo < bound
+            square_set.append((order.scaled(root), sq))
+        result = length(order, alpha, square_set=tuple(square_set))
+        assert (result.status, result.k, result.witness) == (EXACT, 2, roots)
+
+    @pytest.mark.parametrize("order", (quadratic_maximal_order(2), BQ23), ids=repr)
+    def test_unit_multiples_match_reference(self, order):
+        # times u**2, u = (1 + sqrt(2))**13, every value is tiny at the
+        # embeddings that send sqrt(2) to -sqrt(2), within the slack of its
+        # fixed-point bound, so the filter and the search decide most
+        # squares and candidates by the exact test: the filter must keep
+        # exactly the dominated squares, and the search must agree with the
+        # reference kernel, node count included
+        field = order.field
+        u = parse_element("1+sqrt(2)", field) ** 13
+        uu = order.scaled(u * u)
+        verdicts = set()
+        for beta in totally_positive_samples(order, 6, 4, 7, repr(order)):
+            alpha = u * u * beta
+            pool = tuple(sorted(
+                ((order.scaled(u * order.unscale(root)), order.mul_scaled(uu, sq))
+                 for root, sq in enumerate_squares_traced(order, beta.abs_trace())),
+                key=lambda p: (-p[1][0], p[1])))
+            kept = _dominated(pool, order.scaled(alpha), 1, field)
+            assert [p[:2] for p in kept] == reference_dominated(order, alpha, pool)
+            result = length(order, alpha, square_set=pool)
+            assert (result.status, result.k, result.witness, result.nodes) == (
+                reference_length(order, alpha, pool)), str(beta)
+            verdicts.add(result.status)
+        assert EXACT in verdicts
 
 
 class TestMaxN:

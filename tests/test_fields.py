@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bqsos.fields import (
+    FIX,
     BiquadraticField,
     Element,
     EqualGenerators,
@@ -77,6 +78,23 @@ def unit_power_cases(field):
             v = field.mul_coords(v, unit)
             cases += [(v[0] + e, *v[1:]) for e in (-1, 0, 1)]
     return cases
+
+
+def sign_cases(field):
+    """0, squares, random tuples, the boundary: the least totally
+    nonnegative shift of random radical coordinates and its neighbours,
+    and the unit_power_cases, whose near-zero conjugates only the exact
+    test decides."""
+    rng = random.Random(field.radicands[-1])
+    d = field.degree
+    cases = [(0,) * d]
+    for _ in range(100):
+        x = tuple(rng.randint(-9, 9) for _ in range(d))
+        rest = tuple(rng.randint(-30, 30) for _ in range(d - 1))
+        a = least_tnn_shift(field, rest)
+        cases += [field.mul_coords(x, x), (rng.randint(-60, 60), *rest),
+                  (a - 1, *rest), (a, *rest), (a + 1, *rest)]
+    return cases + unit_power_cases(field)
 
 
 def det4(cols):
@@ -195,21 +213,24 @@ class TestSigns:
 
     @pytest.mark.parametrize("field", SIGN_FIELDS, ids=repr)
     def test_tnn_test_matches_embedding_signs(self, field):
-        # 0, squares, random tuples, the boundary: the least totally
-        # nonnegative shift of random radical coordinates and its
-        # neighbours, and near-zero conjugates that only the exact test
-        # decides
-        rng = random.Random(field.radicands[-1])
-        tnn, d = field.tnn_test(), field.degree
-        cases = [(0,) * d]
-        for _ in range(100):
-            x = tuple(rng.randint(-9, 9) for _ in range(d))
-            rest = tuple(rng.randint(-30, 30) for _ in range(d - 1))
-            a = least_tnn_shift(field, rest)
-            cases += [field.mul_coords(x, x), (rng.randint(-60, 60), *rest),
-                      (a - 1, *rest), (a, *rest), (a + 1, *rest)]
-        for v in cases + unit_power_cases(field):
+        tnn = field.tnn_test()
+        for v in sign_cases(field):
             assert tnn(v) == is_tnn_by_signs(field, v), v
+
+    @pytest.mark.parametrize("field", SIGN_FIELDS, ids=repr)
+    def test_fixed_conjugates_bracket_conjugates(self, field):
+        # F_k - slack < 2**FIX * sigma_k(v) < F_k + slack, or equality
+        # when slack = 0, by the exact sign of 2**FIX * v - (F_k -+ slack)
+        # at embedding k
+        fixed = field.fixed_conjugates()
+        for v in sign_cases(field):
+            conj, slack = fixed(v)
+            assert len(conj) == field.degree
+            scaled = [c << FIX for c in v]
+            for k, f in enumerate(conj):
+                below = field.embedding_sign((scaled[0] - f + slack, *scaled[1:]), k)
+                above = field.embedding_sign((scaled[0] - f - slack, *scaled[1:]), k)
+                assert (below, above) == ((1, -1) if slack else (0, 0)), (v, k)
 
     def test_fields_pickle_after_tnn_test(self):
         # sweep --jobs ships fields to worker processes
@@ -217,6 +238,7 @@ class TestSigns:
             assert field.tnn_test()(field.one().num)
             copy = pickle.loads(pickle.dumps(field))
             assert copy == field and copy.tnn_test() is field.tnn_test()
+            assert copy.fixed_conjugates() is field.fixed_conjugates()
 
     def test_embedding_signs_of_square(self):
         f = classify_field(2, 3)

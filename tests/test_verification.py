@@ -315,13 +315,14 @@ class TestSweep:
         with open(path) as fh:
             assert [json.loads(line) for line in fh] == [mis1, *rows]
 
-    @pytest.mark.parametrize("options", [{"jobs": 0}, {"m_range": (21, 17)}])
+    @pytest.mark.parametrize("options", [{"jobs": 0}, {"m_range": (21, 17)},
+                                         {"family": "Nope"}])
     def test_usage_error_leaves_resume_file_untouched(self, tmp_path, options):
         # a last line cut off by a kill, which a run would drop
         path = tmp_path / "rows.jsonl"
         data = b'{"p": 17, "q": 19, "family": "MIs1", "status": "PASS"}\n{"p": 17, "q"'
         path.write_bytes(data)
-        args = {"m_range": (17, 17), "s_range": (19, 22), **options}
+        args = {"family": "MIs1", "m_range": (17, 17), "s_range": (19, 22), **options}
         with pytest.raises(UsageError):
-            sweep("MIs1", **args, resume_path=str(path))
+            sweep(**args, resume_path=str(path))
         assert path.read_bytes() == data
