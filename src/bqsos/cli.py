@@ -347,12 +347,14 @@ def main(argv=None):
     except UsageError as exc:
         # exits 2, with the subcommand's usage line on stderr
         args.parser.error(str(exc))
-    except (FieldError, DecompositionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         sys.stderr.close()
         return 0
+    except (FieldError, DecompositionError, ValueError, OSError) as exc:
+        # the OSError of a --resume or --cache path that cannot be opened;
+        # BrokenPipeError, an OSError, is caught above
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

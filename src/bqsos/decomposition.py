@@ -188,14 +188,14 @@ def _root_squares(order, e, lam):
 def _dominated(pairs, av, k, field):
     """(root, square, conj, slack) for each (root, square) pair with
     av - k*square totally nonnegative, where (conj, slack) are the
-    square's fixed-point conjugates and slack (field.fixed_conjugates),
+    square's fixed-point conjugates and slack (field.fixed_conjugates(sq)),
     kept for the search.
 
     A pair is decided as the search decides a candidate (see _dfs_search),
     on av's conjugates minus k times the square's with slack
     slack(av) + k*slack(square); only a straddle runs the exact tnn_test
     on av - k*square."""
-    fixed, tnn = field.fixed_conjugates(), field.tnn_test()
+    fixed, tnn = field.fixed_conjugates, field.tnn_test
     top = av[0]
     av_conj, av_slack = fixed(av)
     kept = []
@@ -274,7 +274,7 @@ def _dfs_search(av, squares, k, field, counter):
     order.
 
     Every residual res carries its fixed-point conjugates and a slack (see
-    field.fixed_conjugates): alpha's own, then the parent's minus the
+    field.fixed_conjugates(res)): alpha's own, then the parent's minus the
     square's, with the parent's slack plus the square's.  The conjugates
     are linear in the coordinates, so they are exactly those of res, and
     the summed slack is at least the sum of |res_j| that bounds their
@@ -283,7 +283,7 @@ def _dfs_search(av, squares, k, field, counter):
     lo < -slack rejects, and only a straddle runs the exact tnn_test on
     res - square.  An accepted residual is totally nonnegative, so it is
     zero exactly when its trace is."""
-    fixed, tnn = field.fixed_conjugates(), field.tnn_test()
+    fixed, tnn = field.fixed_conjugates, field.tnn_test
     roots = [p[0] for p in squares]
     sqs = [p[1] for p in squares]
     atrs = [sq[0] for sq in sqs]

@@ -10,7 +10,8 @@ The field owns everything that depends on which field it is: its Galois
 action on coordinate tuples (a sign pattern on the radicals per real
 embedding), the exact sign at each embedding, the integer fixed-point
 conjugates that the search compares in its inner loop
-(`fixed_conjugates`), the total-nonnegativity predicate built on them
+(`fixed_conjugates`, from the fixed-point square roots `fixed_roots`
+that each field stores), the total-nonnegativity predicate built on them
 (`tnn_test`), its integral basis (`basis_matrix`) and its JSON form
 (`to_json`).  Element and the other modules delegate to it.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
 from operator import mul
 
@@ -73,16 +73,7 @@ def fraction_str(num, den):
 
 
 def is_squarefree(n):
-    if n < 1:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        if n % d == 0:
-            n //= d
-        d += 1
-    return True
+    return n >= 1 and squarefree_part(n)[0] == 1
 
 
 def squarefree_part(n):
@@ -151,31 +142,34 @@ def _fixed_sqrt(r):
     return isqrt(r << (2 * FIX))
 
 
-# The functions built by fixed_conjugates and tnn_test are kept per field
-# in a bounded cache, not on the frozen instance, so that fields stay
-# picklable for worker processes; fields are small values, so holding a
-# few is harmless.
-_TNN_CACHE = 256
-
-
+@dataclass(frozen=True)
 class _Field:
     """What the quadratic and biquadratic fields share.
 
     A subclass is a frozen dataclass with `radicands`, `sign_patterns` (the
     signs that the i-th real embedding puts on the coordinates of the
     radicals), `mul_coords`, `_sign` (the exact sign of a coordinate tuple
-    at the identity embedding) and `fixed_conjugates`.
+    at the identity embedding) and `fixed_conjugates`.  `fixed_roots`, the
+    R_j = _fixed_sqrt(r_j) of the radicands, is set once per field; it
+    is plain ints, left out of comparison and repr, so fields pickle,
+    compare and hash by their canonical data alone.
 
-    fixed_conjugates() returns a function from integer coordinates
-    v = (a, v_1, ..., v_{d-1}) to (F, slack): one fixed-point conjugate
-    F_k = (a << FIX) + sum_j e_kj*v_j*R_j per embedding, e_k the k-th sign
-    pattern and R_j = _fixed_sqrt(r_j), and slack = sum_j |v_j|.  Then
-    2**FIX times the k-th conjugate of v lies strictly within slack of
-    F_k, or equals F_k when slack = 0 (see _fixed_sqrt), so F_k >= slack
-    makes that conjugate nonnegative and F_k < -slack makes it negative.
-    F is linear in v: the F of v - w is F(v) - F(w), and its error is
-    bounded the same way by slack(v) + slack(w).
+    fixed_conjugates(v) maps integer coordinates v = (a, v_1, ..., v_{d-1})
+    to (F, slack): one fixed-point conjugate F_k = (a << FIX) +
+    sum_j e_kj*v_j*R_j per embedding, e_k the k-th sign pattern, and
+    slack = sum_j |v_j|.  Then 2**FIX times the k-th conjugate of v lies
+    strictly within slack of F_k, or equals F_k when slack = 0 (see
+    _fixed_sqrt), so F_k >= slack makes that conjugate nonnegative and
+    F_k < -slack makes it negative.  F is linear in v: the F of v - w is
+    F(v) - F(w), and its error is bounded the same way by
+    slack(v) + slack(w).
     """
+
+    fixed_roots: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fixed_roots",
+                           tuple(map(_fixed_sqrt, self.radicands)))
 
     @property
     def degree(self):
@@ -212,24 +206,18 @@ class _Field:
         coordinates (over any positive denominator) at the i-th embedding."""
         return self._sign(self.conjugate(coords, i))
 
-    @lru_cache(maxsize=_TNN_CACHE)
-    def tnn_test(self):
-        """A fast total-nonnegativity predicate on integer coordinate tuples.
+    def tnn_test(self, v):
+        """Whether the integer coordinates v are totally nonnegative.
 
         Each conjugate is decided by its fixed-point bound first (see
         fixed_conjugates): only a bound that straddles 0 runs the exact
         embedding_sign.  Every step is integer arithmetic, so no float
         decides anything."""
-        fixed, exact = self.fixed_conjugates(), self.embedding_sign
-
-        def tnn(v):
-            if v[0] < 0:
-                return False
-            conj, slack = fixed(v)
-            return all(f >= slack or (f >= -slack and exact(v, k) >= 0)
-                       for k, f in enumerate(conj))
-
-        return tnn
+        if v[0] < 0:
+            return False
+        conj, slack = self.fixed_conjugates(v)
+        return all(f >= slack or (f >= -slack and self.embedding_sign(v, k) >= 0)
+                   for k, f in enumerate(conj))
 
 
 @dataclass(frozen=True)
@@ -248,6 +236,7 @@ class QuadraticField(_Field):
             raise OutOfRange(f"radicand must exceed 1, got {self.n}")
         if not is_squarefree(self.n):
             raise NotSquarefree(f"{self.n} is not squarefree")
+        super().__post_init__()
 
     def mul_coords(self, x, y):
         a1, b1 = x
@@ -257,19 +246,13 @@ class QuadraticField(_Field):
     def _sign(self, coords):
         return quad_sign(*coords, self.n)
 
-    @lru_cache(maxsize=_TNN_CACHE)
-    def fixed_conjugates(self):
+    def fixed_conjugates(self, v):
         """The fixed-point conjugates of integer coordinates (a, b): with
-        R = _fixed_sqrt(n), ((a << FIX) + b*R, (a << FIX) - b*R) and the
-        slack |b| (see _Field.fixed_conjugates)."""
-        r = _fixed_sqrt(self.n)
-
-        def fixed(v):
-            a, b = v
-            a, x = a << FIX, b * r
-            return (a + x, a - x), abs(b)
-
-        return fixed
+        (R,) = fixed_roots, ((a << FIX) + b*R, (a << FIX) - b*R) and the
+        slack |b| (see _Field)."""
+        a, b = v
+        a, x = a << FIX, b * self.fixed_roots[0]
+        return (a + x, a - x), abs(b)
 
     def basis_matrix(self):
         """Columns of the integral basis in (1, sqrt n) coords."""
@@ -330,22 +313,17 @@ class BiquadraticField(_Field):
     def _sign(self, coords):
         return biquad_sign(*coords, self.m, self.s, self.t0)
 
-    @lru_cache(maxsize=_TNN_CACHE)
-    def fixed_conjugates(self):
+    def fixed_conjugates(self, v):
         """The fixed-point conjugates of integer coordinates (a, b, c, d):
-        with x, y, z the coordinates b, c, d times the _fixed_sqrt of their
-        radicands, (a << FIX) + em*x + es*y + et*z for each sign pattern
-        (em, es, et) in SIGN_PATTERNS order, and the slack |b| + |c| + |d|
-        (see _Field.fixed_conjugates)."""
-        rm, rs, rt = map(_fixed_sqrt, self.radicands)
-
-        def fixed(v):
-            a, b, c, d = v
-            a, x, y, z = a << FIX, b * rm, c * rs, d * rt
-            return ((a + x + y + z, a - x + y - z, a + x - y - z, a - x - y + z),
-                    abs(b) + abs(c) + abs(d))
-
-        return fixed
+        with x, y, z the coordinates b, c, d times their fixed_roots,
+        (a << FIX) + em*x + es*y + et*z for each sign pattern (em, es, et)
+        in SIGN_PATTERNS order, and the slack |b| + |c| + |d| (see
+        _Field)."""
+        a, b, c, d = v
+        rm, rs, rt = self.fixed_roots
+        a, x, y, z = a << FIX, b * rm, c * rs, d * rt
+        return ((a + x + y + z, a - x + y - z, a + x - y - z, a - x - y + z),
+                abs(b) + abs(c) + abs(d))
 
     def basis_matrix(self):
         """Columns of the integral basis in (1, sqrt m, sqrt s, sqrt t) coords."""
@@ -568,10 +546,11 @@ class Element:
         return self.field.embedding_sign(self.num, i)
 
     def is_totally_nonnegative(self):
-        return self.field.tnn_test()(self.num)
+        return self.field.tnn_test(self.num)
 
     def is_totally_positive(self):
-        return all(self.sign_at_embedding(i) > 0 for i in range(self.field.degree))
+        # a nonzero element has no zero conjugate
+        return not self.is_zero() and self.is_totally_nonnegative()
 
     def dominates(self, other):
         """self >= other in the total (semi-)ordering by all embeddings."""

@@ -250,7 +250,7 @@ def test_criterion_8_property_suite():
     ]
     checked = past_cut = 0
     for order, low, cap in oracle_cases:
-        tnn = order.field.tnn_test()
+        tnn = order.field.tnn_test
         cut = order.field.degree + 3
         zero = (0,) * order.field.degree
         oracle = {zero: 0}

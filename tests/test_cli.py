@@ -1,5 +1,7 @@
 import csv
+import errno
 import json
+import os
 import re
 from fractions import Fraction
 
@@ -441,6 +443,37 @@ class TestUsageRules:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"usage: bqsos {argv[0]} ") and not captured.out
+
+
+# a path that cannot be opened: (argv given the test's tmp_path, errno)
+BAD_PATHS = {
+    "resume-in-missing-dir": (
+        lambda tmp: ("sweep", "--family", "MIs1", "--m-range", "17..17",
+                     "--s-range", "19..19", "--resume", str(tmp / "missing" / "x.jsonl")),
+        errno.ENOENT),
+    "resume-is-a-directory": (
+        lambda tmp: ("sweep", "--family", "MIs1", "--m-range", "17..17",
+                     "--s-range", "19..19", "--resume", str(tmp)),
+        errno.EISDIR),
+    "cache-is-a-file": (
+        lambda tmp: ("lower-bound", "--p", "2", "--q", "3", "--atr-cap", "4",
+                     "--cache", str(tmp / "file")),
+        errno.ENOTDIR),
+}
+
+
+class TestBadPaths:
+    """An OSError from a path on the command line is one error line on
+    stderr and exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("case", BAD_PATHS)
+    def test_error_line_and_exit_1(self, capsys, tmp_path, case):
+        argv, code = BAD_PATHS[case]
+        (tmp_path / "file").write_text("")
+        exit_code, out, err = run(capsys, *argv(tmp_path))
+        assert exit_code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert os.strerror(code) in err
 
 
 # one argv per payload shape main emits; the length payloads carry the float

@@ -129,7 +129,7 @@ def deepening_length(order, alpha, max_n=None):
         return NOT_SUM_OF_SQUARES, None, None
     cutoff = min(-(-av[0] // order.den), order.field.degree + 3)
     limit = cutoff if max_n is None else min(max_n, cutoff)
-    tnn = order.field.tnn_test()
+    tnn = order.field.tnn_test
     for k in range(1, limit + 1):
         roots = reference_search(av, squares, k, tnn, [0])
         if roots is not None:
@@ -153,7 +153,7 @@ def reference_length(order, alpha, square_set=None):
     depth = min(-(-av[0] // order.den), order.field.degree + 3)
     found = None
     while squares and depth > 0:
-        roots = reference_search(av, squares, depth, order.field.tnn_test(), counter)
+        roots = reference_search(av, squares, depth, order.field.tnn_test, counter)
         if roots is None:
             break
         found, depth = roots, len(roots) - 1
@@ -459,7 +459,7 @@ class TestSearchKernel:
         u = parse_element("1+sqrt(2)", field) ** 13
         roots = (field.sqrt_of(2) * u, u)
         alpha = 3 * u * u
-        fixed = field.fixed_conjugates()
+        fixed = field.fixed_conjugates
         av = order.scaled(alpha)
         alpha_conj, alpha_slack = fixed(av)
         square_set = []

@@ -213,7 +213,7 @@ class TestSigns:
 
     @pytest.mark.parametrize("field", SIGN_FIELDS, ids=repr)
     def test_tnn_test_matches_embedding_signs(self, field):
-        tnn = field.tnn_test()
+        tnn = field.tnn_test
         for v in sign_cases(field):
             assert tnn(v) == is_tnn_by_signs(field, v), v
 
@@ -222,7 +222,7 @@ class TestSigns:
         # F_k - slack < 2**FIX * sigma_k(v) < F_k + slack, or equality
         # when slack = 0, by the exact sign of 2**FIX * v - (F_k -+ slack)
         # at embedding k
-        fixed = field.fixed_conjugates()
+        fixed = field.fixed_conjugates
         for v in sign_cases(field):
             conj, slack = fixed(v)
             assert len(conj) == field.degree
@@ -233,12 +233,18 @@ class TestSigns:
                 assert (below, above) == ((1, -1) if slack else (0, 0)), (v, k)
 
     def test_fields_pickle_after_tnn_test(self):
-        # sweep --jobs ships fields to worker processes
+        # sweep --jobs ships fields to worker processes, used or not
         for field in (QuadraticField(13), classify_field(5, 13)):
-            assert field.tnn_test()(field.one().num)
-            copy = pickle.loads(pickle.dumps(field))
-            assert copy == field and copy.tnn_test() is field.tnn_test()
-            assert copy.fixed_conjugates() is field.fixed_conjugates()
+            before = pickle.loads(pickle.dumps(field))
+            cases = sign_cases(field)
+            assert all(field.tnn_test(v) == is_tnn_by_signs(field, v) for v in cases)
+            after = pickle.loads(pickle.dumps(field))
+            for copy in (before, after):
+                assert copy == field and hash(copy) == hash(field)
+                assert copy.fixed_roots == field.fixed_roots
+                for v in cases:
+                    assert copy.fixed_conjugates(v) == field.fixed_conjugates(v)
+                    assert copy.tnn_test(v) == field.tnn_test(v)
 
     def test_embedding_signs_of_square(self):
         f = classify_field(2, 3)
@@ -282,6 +288,20 @@ class TestElement:
         assert not (1 + f.sqrt_of(2)).is_totally_nonnegative()
         assert f.zero().is_totally_nonnegative()
         assert not f.zero().is_totally_positive()
+
+    def test_total_positivity_matches_embedding_signs(self):
+        # (1+sqrt(2))**50 is totally positive and (1+sqrt(2))**51 is not, and
+        # for both the fixed-point bound of the small conjugate straddles 0
+        f = QuadraticField(2)
+        u = 1 + f.sqrt_of(2)
+        for x in (f.zero(), f.one(), u ** 50, u ** 51):
+            by_signs = all(f.embedding_sign(x.num, i) > 0 for i in range(f.degree))
+            assert x.is_totally_positive() == by_signs, x
+        assert (u ** 50).is_totally_positive()
+        assert not (u ** 51).is_totally_positive()
+        for x in (u ** 50, u ** 51):
+            conj, slack = f.fixed_conjugates(x.num)
+            assert -slack <= min(conj) < slack
 
     def test_dominates(self):
         f = classify_field(2, 3)
