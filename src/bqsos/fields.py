@@ -12,7 +12,8 @@ embedding), the exact sign at each embedding, the integer fixed-point
 conjugates that the search compares in its inner loop
 (`fixed_conjugates`, from the fixed-point square roots `fixed_roots`
 that each field stores), the total-nonnegativity predicate built on them
-(`tnn_test`), its integral basis (`basis_matrix`) and its JSON form
+(`tnn_test`), its integral basis (`basis_matrix`; the five biquadratic
+shapes B1..B4b are one table, INTEGRAL_BASES) and its JSON form
 (`to_json`).  Element and the other modules delegate to it.
 """
 
@@ -149,10 +150,11 @@ class _Field:
     A subclass is a frozen dataclass with `radicands`, `sign_patterns` (the
     signs that the i-th real embedding puts on the coordinates of the
     radicals), `mul_coords`, `_sign` (the exact sign of a coordinate tuple
-    at the identity embedding) and `fixed_conjugates`.  `fixed_roots`, the
-    R_j = _fixed_sqrt(r_j) of the radicands, is set once per field; it
-    is plain ints, left out of comparison and repr, so fields pickle,
-    compare and hash by their canonical data alone.
+    at the identity embedding), `fixed_conjugates` and `basis_matrix` (the
+    columns of the integral basis, which maximal_order reads).
+    `fixed_roots`, the R_j = _fixed_sqrt(r_j) of the radicands, is set
+    once per field; it is plain ints, left out of comparison and repr, so
+    fields pickle, compare and hash by their canonical data alone.
 
     fixed_conjugates(v) maps integer coordinates v = (a, v_1, ..., v_{d-1})
     to (F, slack): one fixed-point conjugate F_k = (a << FIX) +
@@ -267,7 +269,16 @@ class QuadraticField(_Field):
         return f"Q(sqrt({self.n}))"
 
 
-BASIS_TYPES = ("B1", "B2", "B3", "B4a", "B4b")
+# The integral basis of each biquadratic shape: four columns, each written
+# as 4 times its coordinates over (1, sqrt p, sqrt q, sqrt r) for the roles
+# (p, q, r) that classify_field assigns.
+INTEGRAL_BASES = {
+    "B1": ((4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 2, 0, 2)),
+    "B2": ((4, 0, 0, 0), (0, 4, 0, 0), (2, 0, 2, 0), (0, 2, 0, 2)),
+    "B3": ((4, 0, 0, 0), (0, 4, 0, 0), (2, 0, 2, 0), (0, 2, 0, 2)),
+    "B4a": ((4, 0, 0, 0), (2, 2, 0, 0), (2, 0, 2, 0), (1, 1, 1, 1)),
+    "B4b": ((4, 0, 0, 0), (2, 2, 0, 0), (2, 0, 2, 0), (1, -1, 1, 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -277,7 +288,7 @@ class BiquadraticField(_Field):
     Canonical generators m < s < t are the three squarefree integers whose
     roots lie in the field; m0, s0, t0 are the pairwise gcds.  basis_type is
     one of B1..B4b and role assignment records which of m, s, t play the
-    parts of p, q, r in the integral-basis table.  The requested generators
+    parts of p, q, r in INTEGRAL_BASES.  The requested generators
     p, q are kept for reporting only: equality and hashing use the
     canonical data, so Q(sqrt 3, sqrt 2) == Q(sqrt 2, sqrt 6).
     """
@@ -326,42 +337,12 @@ class BiquadraticField(_Field):
                 abs(b) + abs(c) + abs(d))
 
     def basis_matrix(self):
-        """Columns of the integral basis in (1, sqrt m, sqrt s, sqrt t) coords."""
-        pos = {rad: i + 1 for i, rad in enumerate(self.radicands)}
-
-        def vec(*terms, den=1):
-            col = [Fraction(0)] * 4
-            for coeff, rad in terms:
-                idx = 0 if rad == 1 else pos[rad]
-                col[idx] += Fraction(coeff, den)
-            return tuple(col)
-
-        pr, qr, rr = self.roles
-        one = vec((1, 1))
-        if self.basis_type == "B1":
-            cols = (one, vec((1, pr)), vec((1, qr)), vec((1, pr), (1, rr), den=2))
-        elif self.basis_type in ("B2", "B3"):
-            cols = (
-                one,
-                vec((1, pr)),
-                vec((1, 1), (1, qr), den=2),
-                vec((1, pr), (1, rr), den=2),
-            )
-        elif self.basis_type == "B4a":
-            cols = (
-                one,
-                vec((1, 1), (1, pr), den=2),
-                vec((1, 1), (1, qr), den=2),
-                vec((1, 1), (1, pr), (1, qr), (1, rr), den=4),
-            )
-        else:  # B4b
-            cols = (
-                one,
-                vec((1, 1), (1, pr), den=2),
-                vec((1, 1), (1, qr), den=2),
-                vec((1, 1), (-1, pr), (1, qr), (1, rr), den=4),
-            )
-        return cols
+        """Columns of the integral basis in (1, sqrt m, sqrt s, sqrt t)
+        coords: each INTEGRAL_BASES column, over 4, with its role
+        coordinates moved to the slots of m, s and t."""
+        slots = (0, *(self.roles.index(r) + 1 for r in self.radicands))
+        return tuple(tuple(Fraction(col[k], 4) for k in slots)
+                     for col in INTEGRAL_BASES[self.basis_type])
 
     def to_json(self):
         return {

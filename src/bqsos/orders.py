@@ -268,14 +268,18 @@ def quadratic_maximal_order(n):
 
 def parse_order_description(desc, field):
     """Order from its CLI text form: maximal, quad:N, quad-half:N or
-    gen:EXPR;EXPR;..., each EXPR an element of `field` (see bqsos.parser)."""
+    gen:EXPR;EXPR;..., N in ASCII digits and each EXPR an element of
+    `field` (see bqsos.parser)."""
     desc = desc.strip()
     if desc == "maximal":
         return maximal_order(field)
-    if desc.startswith("quad:"):
-        return quadratic_order(int(desc[5:]))
-    if desc.startswith("quad-half:"):
-        return quadratic_order_half(int(desc[10:]))
+    for prefix, make_order in (("quad:", quadratic_order),
+                               ("quad-half:", quadratic_order_half)):
+        if desc.startswith(prefix):
+            N = desc[len(prefix):].strip()
+            if not (N.isascii() and N.isdigit()):
+                raise OrderError(f"N of {prefix}N must be ASCII digits, got {desc!r}")
+            return make_order(int(N))
     if desc.startswith("gen:"):
         gens = [parse_element(part, field)
                 for part in desc[4:].split(";") if part.strip()]

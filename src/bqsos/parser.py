@@ -14,6 +14,7 @@ in the target field, otherwise ForeignRadical is raised.
 from __future__ import annotations
 
 from fractions import Fraction
+from string import ascii_letters, digits
 
 from .fields import FieldError
 
@@ -27,10 +28,14 @@ class ExpressionError(FieldError):
 
 
 _PUNCT = "+-*/^()"
+_DIGITS = frozenset(digits)
+_LETTERS = frozenset(ascii_letters)
 
 
 def tokenize(text):
-    """List of (kind, value, position) with kind in int, name, punct."""
+    """List of (kind, value, position) with kind in int, name, punct; an
+    int is ASCII digits and a name ASCII letters, so a superscript or an
+    Arabic-Indic digit is an unexpected character."""
     tokens = []
     i = 0
     n = len(text)
@@ -38,15 +43,15 @@ def tokenize(text):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
-        elif ch.isalpha():
+        elif ch in _LETTERS:
             j = i
-            while j < n and text[j].isalpha():
+            while j < n and text[j] in _LETTERS:
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j

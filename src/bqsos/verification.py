@@ -30,7 +30,14 @@ from .fields import (
     classify_field,
     is_squarefree,
 )
-from .orders import OrderLattice, maximal_order, quadratic_order, quadratic_order_half
+from .orders import (
+    OrderLattice,
+    maximal_order,
+    quadratic_maximal_order,
+    quadratic_order,
+    quadratic_order_half,
+)
+from .parser import parse_element
 from .decomposition import (
     DecompositionError,
     EXACT,
@@ -73,38 +80,12 @@ def _sq(x):
 @functools.cache
 def quadratic_baseline_entries():
     """The per-order maximal-length elements in small quadratic orders:
-    a tuple of (order, element, expected length) triples, built once."""
+    a tuple of (order, element, expected length) triples, one per
+    THM31_ENTRIES row, built once."""
     out = []
-
-    o = maximal_order(QuadraticField(2))
-    f = o.field
-    out.append((o, 1 + _sq(f.sqrt_of(2)) + _sq(1 + f.sqrt_of(2)), 3))
-
-    o = quadratic_order(3)
-    f = o.field
-    out.append((o, 2 + _sq(2 + f.sqrt_of(3)), 3))
-
-    o = quadratic_order_half(5)
-    f = o.field
-    out.append((o, 2 + _sq(_half(f, 5)), 3))
-
-    o = quadratic_order(6)
-    f = o.field
-    out.append((o, 3 + _sq(1 + f.sqrt_of(6)), 4))
-
-    o = quadratic_order(7)
-    f = o.field
-    out.append((o, 3 + _sq(1 + f.sqrt_of(7)), 4))
-
-    o = quadratic_order(5)
-    f = o.field
-    out.append((o, 3 + _sq(1 + f.sqrt_of(5)), 4))
-
-    o = quadratic_order_half(13)
-    f = o.field
-    w = _half(f, 13)
-    out.append((o, 3 + _sq(w) + _sq(1 + w), 5))
-
+    for make_order, N, text, k in THM31_ENTRIES:
+        order = make_order(N)
+        out.append((order, parse_element(text, order.field), k))
     return tuple(out)
 
 
@@ -481,6 +462,19 @@ def near_shift_identity(field):
 
 # ---------------------------------------------------------------------------
 # Table harnesses.
+
+# Thm 3.1: (order constructor, N, element literal, length of the element);
+# the order is make_order(N), and the element is the literal read in its
+# field.
+THM31_ENTRIES = (
+    (quadratic_maximal_order, 2, "1 + sqrt(2)^2 + (1+sqrt(2))^2", 3),
+    (quadratic_order, 3, "2 + (2+sqrt(3))^2", 3),
+    (quadratic_order_half, 5, "2 + ((1+sqrt(5))/2)^2", 3),
+    (quadratic_order, 6, "3 + (1+sqrt(6))^2", 4),
+    (quadratic_order, 7, "3 + (1+sqrt(7))^2", 4),
+    (quadratic_order, 5, "3 + (1+sqrt(5))^2", 4),
+    (quadratic_order_half, 13, "3 + ((1+sqrt(13))/2)^2 + (1+(1+sqrt(13))/2)^2", 5),
+)
 
 LEMMA_ITEMS = {
     1: ("MIs1", [(17, 19), (17, 21), (17, 22), (21, 22), (21, 23)]),

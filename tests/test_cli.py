@@ -74,6 +74,15 @@ class TestLength:
         )
         assert code == 1 and "sqrt(7)" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--p", "2", "--q", "3", "--elem", "7+(1+sqrt(2))²"),
+        ("--order", "quad:1_2", "--elem", "7"),
+    ], ids=["superscript", "underscore"])
+    def test_decimal_only(self, capsys, argv):
+        code, out, err = run(capsys, "length", *argv)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "invalid literal" not in err
+
     def test_custom_order(self, capsys):
         code, out, _ = run(
             capsys, "length", "--p", "2", "--q", "3",

@@ -198,8 +198,10 @@ class TestClassify:
         expected = {"B1": Fraction(1, 2), "B2": Fraction(1, 4),
                     "B3": Fraction(1, 4), "B4a": Fraction(1, 16),
                     "B4b": Fraction(1, 16)}
-        for p, q in [(2, 3), (10, 17), (17, 19), (5, 13), (17, 21), (3, 7)]:
-            f = classify_field(p, q)
+        fields = [classify_field(p, q) for p, q in
+                  [(2, 3), (10, 17), (17, 19), (5, 13), (17, 21), (3, 7), (21, 33)]]
+        assert {f.basis_type for f in fields} == set(expected)
+        for f in fields:
             assert abs(det4(f.basis_matrix())) == expected[f.basis_type]
 
 

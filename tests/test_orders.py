@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -186,3 +187,12 @@ class TestParseOrderDescription:
             parse_order_description("weird", classify_field(2, 3))
         with pytest.raises(OrderError):
             parse_order_description("gen:sqrt(2)", classify_field(2, 3))
+
+    @pytest.mark.parametrize("desc", ["quad:abc", "quad:1_2", "quad:١٢",
+                                      "quad-half:1_3", "quad:", "quad:-5"])
+    def test_n_must_be_ascii_digits(self, desc):
+        with pytest.raises(OrderError, match=re.escape(repr(desc))):
+            parse_order_description(desc, None)
+
+    def test_spaces_around_n(self):
+        assert parse_order_description("quad: 12 ", None).label == "Z[sqrt(12)]"

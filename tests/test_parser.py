@@ -56,6 +56,13 @@ class TestParse:
                 parse_element(text, FIELD)
             assert exc.value.position == position
 
+    @pytest.mark.parametrize("text, position", [("2²", 1), ("sqrt(٣)", 5)])
+    def test_only_ascii_digits(self, text, position):
+        # a superscript two and an Arabic-Indic three pass str.isdigit
+        with pytest.raises(ExpressionError, match="unexpected character") as exc:
+            parse_element(text, FIELD)
+        assert exc.value.position == position
+
     def test_division_only_by_rationals(self):
         with pytest.raises(ExpressionError):
             parse_element("1/sqrt(2)", FIELD)

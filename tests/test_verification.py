@@ -170,6 +170,15 @@ class TestVerifyTable:
         assert len(rows) == 7
         assert all(row["status"] == "PASS" for row in rows)
         assert [row["length"] for row in rows] == [3, 3, 3, 4, 4, 4, 5]
+        assert [(row["order"], row["alpha"]["pretty"]) for row in rows] == [
+            ("maximal", "6 + 2*sqrt(2)"),
+            ("Z[sqrt(3)]", "9 + 4*sqrt(3)"),
+            ("Z[(1+sqrt(5))/2]", "7/2 + 1/2*sqrt(5)"),
+            ("Z[sqrt(6)]", "10 + 2*sqrt(6)"),
+            ("Z[sqrt(7)]", "11 + 2*sqrt(7)"),
+            ("Z[sqrt(5)]", "9 + 2*sqrt(5)"),
+            ("Z[(1+sqrt(13))/2]", "12 + 2*sqrt(13)"),
+        ]
 
     def test_lemma_item(self):
         rows = verify_table("lemma4.3", item=1)
