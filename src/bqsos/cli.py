@@ -112,12 +112,22 @@ def _fraction(text):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
 
 
+def _integer(text):
+    """argparse type for an integer: an optional "-" and ASCII digits, not
+    the spaces, "_" and non-ASCII digits that int() also takes."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _int_range(text):
-    """argparse type for an inclusive integer range such as 17..21."""
+    """argparse type for an inclusive integer range such as 17..21, each
+    end as _integer takes it."""
     lo, _, hi = text.partition("..")
     try:
-        return int(lo), int(hi)
-    except ValueError:
+        return _integer(lo), _integer(hi)
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"not an integer range A..B: {text!r}") from None
 
 
@@ -269,9 +279,9 @@ def build_parser():
 
     def add_field_args(p, order=True):
         # without --order the generators name the field, so they are required
-        p.add_argument("--p", type=int, default=None, required=not order,
+        p.add_argument("--p", type=_integer, default=None, required=not order,
                        help="first generator radicand")
-        p.add_argument("--q", type=int, default=None, required=not order,
+        p.add_argument("--q", type=_integer, default=None, required=not order,
                        help="second generator radicand")
         if order:
             p.add_argument(
@@ -295,7 +305,7 @@ def build_parser():
     p = sub.add_parser("length", help="exact length of an element")
     add_field_args(p)
     p.add_argument("--elem", required=True, help="element expression")
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=_integer, default=None)
     p.set_defaults(func=cmd_length, parser=p)
 
     p = sub.add_parser("lower-bound", help="Pythagoras-number lower bound")
@@ -312,24 +322,24 @@ def build_parser():
     p = sub.add_parser("verify", help="recompute a table of known lengths")
     p.add_argument("--table", required=True,
                    choices=("lemma4.3", "prop4.4", "thm3.1"))
-    p.add_argument("--item", type=int, default=None, choices=sorted(LEMMA_ITEMS),
+    p.add_argument("--item", type=_integer, default=None, choices=sorted(LEMMA_ITEMS),
                    help="one item of lemma 4.3 (that table only)")
     p.add_argument("--full", action="store_true",
                    help="full published ranges and caps")
-    p.add_argument("--s-max", type=int, default=None,
+    p.add_argument("--s-max", type=_integer, default=None,
                    help="largest s for the open-ended item of lemma 4.3")
     p.add_argument("--time-budget", type=float, default=None)
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=_integer, default=None)
     p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("sweep", help="run a witness family over a field grid")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--m-range", required=True, type=_int_range, metavar="A..B")
     p.add_argument("--s-range", required=True, type=_int_range, metavar="C..D")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_integer, default=1)
     p.add_argument("--resume", default=None, help="JSON-lines file of done rows")
     p.add_argument("--time-budget", type=float, default=None)
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=_integer, default=None)
     p.set_defaults(func=cmd_sweep, parser=p)
 
     return parser

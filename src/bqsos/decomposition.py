@@ -3,9 +3,13 @@ minimal-length search by depth-first search (which also decides
 n-square representability), level sets of all bounded sums of squares,
 and the fixed-point lower-bound iteration.
 
-Squares come from one integer walk over the order's lower-triangular HNF
-basis, so every visited point lies in the order, bounded by the ellipsoid
-abs_trace(x*x/alpha) <= 1 of one form builder (Fincke-Pohst).  At a
+Squares come from one integer walk over the order's lower-triangular
+walk basis, the HNF of its lattice with the power coordinates reversed, so
+every visited point lies in the order, bounded by the ellipsoid
+abs_trace(x*x/alpha) <= 1 of one form builder (Fincke-Pohst).  The walk
+fixes the coordinate of the largest radicand first, where the ellipsoid
+is thinnest, and the rational coordinate last, so few of its slices are
+empty.  At a
 totally positive alpha it holds every square dominated by alpha, since
 x*x <= alpha gives sigma(x)**2/sigma(alpha) <= 1 at each embedding
 sigma, and one filter keeps the dominated ones; at a rational
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import floor, isqrt, lcm
-from operator import mul, sub
+from operator import mul, neg, sub
 
 from .fields import Element, FieldError, UsageError
 
@@ -88,7 +92,8 @@ def _reverse_ldl(gram):
 
 def _dominance_form(order, alpha):
     """abs_trace(x*x/alpha) for totally positive alpha, in the shape
-    _enumerate_roots takes.
+    _enumerate_roots takes: in the walk's coordinates, the power-basis
+    coordinates reversed.
 
     x*x <= alpha gives sigma_k(x)**2/sigma_k(alpha) <= 1 at each of the d
     embeddings, so every dominated square has Tr(x*x/alpha) <= d, that is
@@ -108,20 +113,25 @@ def _dominance_form(order, alpha):
     weights = (1,) + field.radicands
     cols = [mul_coords(tuple(int(i == j) for i in range(dim)), adj) for j in range(dim)]
     gram = [[w * col[i] for col in cols] for i, w in enumerate(weights)]
-    e, lam = _reverse_ldl(gram)
+    e, lam = _reverse_ldl([row[::-1] for row in reversed(gram)])
     return [c * Fraction(alpha.den, norm) for c in e], lam
 
 
 def _enumerate_roots(order, e, lam):
-    """Scaled coordinate tuples of all nonzero x in the order with
-    Q(x) = sum_i e[i]*(x_i + sum_{j<i} lam[i][j]*x_j)**2 <= 1 in power-basis
-    coordinates, for rational e[i] > 0 and rational lam; one root per
-    {x, -x} pair (first nonzero coordinate positive).
+    """Scaled power-basis coordinate tuples of all nonzero x in the order
+    with Q(x) = sum_i e[i]*(x_i + sum_{j<i} lam[i][j]*x_j)**2 <= 1, the x_i
+    being the power-basis coordinates in reverse order (largest radicand
+    first), for rational e[i] > 0 and rational lam; one root per {x, -x}
+    pair (first nonzero power coordinate positive).
 
-    The walk runs down the rows of the lower-triangular HNF basis: once
-    the multipliers y_k of the earlier columns are fixed, row i's scaled
-    coordinate is v_i = off + y*pivot for the next multiplier y, so every
-    visited point lies in the order.  Level i needs
+    The walk runs down the rows of order.walk_basis, lower triangular in
+    the reversed coordinates: once the multipliers y_k of the earlier
+    columns are fixed, row i's scaled coordinate is v_i = off + y*pivot
+    for the next multiplier y, so every visited point lies in the order.
+    Its half-space cut (y >= 0 while every earlier multiplier is 0) makes
+    the last nonzero power coordinate positive, so each root is reversed
+    into power order and negated where its first nonzero coordinate is
+    negative.  Level i needs
     e[i]*(v_i + c_i)**2 <= rem, with c_i the centre fixed by the earlier
     coordinates; the remaining terms can all be made zero by the later
     coordinates, so no point of the ellipsoid is missed (Fincke-Pohst).
@@ -132,7 +142,7 @@ def _enumerate_roots(order, e, lam):
     the bound is the integer S*D**2.  The inner value is A + y*M with
     A = L_i*off + C_i and M = L_i*pivot > 0, so the exact y-range is
     -(b + A)//M <= y <= (b - A)//M with b = isqrt(rem // f_i)."""
-    D, basis = order.den, order.basis
+    D, basis = order.den, order.walk_basis
     dim, last = len(basis), len(basis) - 1
     L = [lcm(*(c.denominator for c in row)) for row in lam]
     ed = [ei.denominator * Li * Li for ei, Li in zip(e, L)]
@@ -145,6 +155,7 @@ def _enumerate_roots(order, e, lam):
     cols = [[basis[k][i] for k in range(i)] for i in range(dim)]
     roots = []
     ys, vec = [0] * dim, [0] * dim
+    zero = (0,) * last
 
     def walk(i, rem, leading_zero):
         off = sum(map(mul, ys, cols[i]))
@@ -161,6 +172,7 @@ def _enumerate_roots(order, e, lam):
             return
         # the last level inline: its offset and centre move linearly with y
         head = tuple(vec[:i])
+        rhead = head[::-1]
         off_n = sum(map(mul, ys[:i], cols[last]))
         C_n = sum(map(mul, head, l[last]))
         c_n, l_n, L_n = cols[last][i], l[last][i], L[last]
@@ -171,8 +183,14 @@ def _enumerate_roots(order, e, lam):
             v, off_y = off + y * p, off_n + y * c_n
             A_y = L_n * off_y + C_n + l_n * v
             lo_n = 1 if leading_zero and y == 0 else -((b_n + A_y) // M_n)
-            roots.extend([head + (v, off_y + z * p_n)
-                          for z in range(lo_n, (b_n - A_y) // M_n + 1)])
+            # (w,) + tail is the root in power order, kept as it is when its
+            # first nonzero coordinate is positive (w >= cut), else negated;
+            # tail > zero when tail's first nonzero entry is positive
+            tail = (v,) + rhead
+            neg_tail, cut = tuple(map(neg, tail)), 0 if tail > zero else 1
+            roots.extend([(w,) + tail if w >= cut else (-w,) + neg_tail
+                          for w in range(off_y + lo_n * p_n,
+                                         off_y + (b_n - A_y) // M_n * p_n + 1, p_n)])
 
     walk(0, S * D * D, True)
     return roots

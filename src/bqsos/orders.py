@@ -3,12 +3,16 @@ biquadratic field, with exact membership tests via a Hermite normal form.
 
 This module alone knows how a lattice is stored: integer columns in
 Hermite normal form over one common denominator `den`, one canonical form
-per lattice (see `_canonical`).  An order converts Elements to and from
-its scaled coordinates, the power-basis coordinates times `den`
-(`OrderLattice.scaled`, `OrderLattice.unscale`), and multiplies in them
-(`OrderLattice.mul_scaled`), so the hot paths elsewhere work on integer
-tuples without knowing the format.  The maximal order comes from the
-field's own integral-basis table (`basis_matrix` in bqsos.fields).
+per lattice (see `_canonical`): `OrderLattice.basis`, which decides
+membership, equality and the basis hash.  The square enumeration walks a
+second basis of the lattice, `walk_basis`, the HNF with the power
+coordinates reversed (see bqsos.decomposition).  An order converts
+Elements to and from its scaled coordinates, the power-basis coordinates
+times `den` (`OrderLattice.scaled`, `OrderLattice.unscale`), and
+multiplies in them (`OrderLattice.mul_scaled`), so the hot paths
+elsewhere work on integer tuples without knowing the format.  The maximal
+order comes from the field's own integral-basis table (`basis_matrix` in
+bqsos.fields).
 """
 
 from __future__ import annotations
@@ -117,7 +121,11 @@ class OrderLattice:
     The lattice is the set of integer combinations of `basis` columns;
     internally columns are integer vectors over the common denominator `den`.
     A full-rank HNF basis is lower triangular, so column i has its pivot in
-    row i.
+    row i.  `basis` is the canonical form, read by membership, equality,
+    hashing and `basis_hash` (so the level-cache file names).  `walk_basis`,
+    the HNF of the same columns with their coordinates reversed, is the
+    basis the square enumeration walks, largest radicand's coordinate
+    first.
     """
 
     def __init__(self, field, columns, label):
@@ -127,6 +135,7 @@ class OrderLattice:
         self.den, self.basis = _canonical(columns, dim)
         if len(self.basis) != dim:
             raise NotFullRank(f"lattice has rank {len(self.basis)}, expected {dim}")
+        self.walk_basis = tuple(hnf_columns([c[::-1] for c in self.basis], dim))
         if not self.contains(field.one()):
             raise NotAnOrder("lattice does not contain 1")
         for i, x in enumerate(self.basis):

@@ -454,6 +454,47 @@ class TestUsageRules:
         assert captured.err.startswith(f"usage: bqsos {argv[0]} ") and not captured.out
 
 
+SWEEP_ROW = ("sweep", "--family", "MIs1", "--m-range", "17..17", "--s-range", "19..19")
+
+
+class TestIntegerOptions:
+    """Integer options and both ends of a range take an optional "-" and
+    ASCII digits only; int() alone would also take "_", spaces, a "+" and
+    non-ASCII digits."""
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--p", "1_0", "--q", "17"),
+        ("classify", "--p", "10", "--q", "١٧"),
+        ("classify", "--p", " 10", "--q", "17"),
+        ("classify", "--p", "+10", "--q", "17"),
+        ("length", "--p", "2", "--q", "3", "--elem", "7", "--max-n", "٣"),
+        ("verify", "--table", "lemma4.3", "--item", "1_5"),
+        ("verify", "--table", "lemma4.3", "--item", "15", "--s-max", "1_1"),
+        ("verify", "--table", "lemma4.3", "--item", "1", "--node-budget", "1_0"),
+        ("sweep", "--family", "MIs1", "--m-range", "1_7..1_7", "--s-range", "19..19"),
+        ("sweep", "--family", "MIs1", "--m-range", "17..17", "--s-range", "19..١٩"),
+        (*SWEEP_ROW, "--jobs", "２"),
+        (*SWEEP_ROW, "--node-budget", "1_0"),
+    ], ids=repr)
+    def test_other_forms_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: bqsos {argv[0]} ") and not captured.out
+        assert "not an integer" in captured.err
+
+    def test_ascii_forms_parse(self):
+        args = build_parser().parse_args(
+            ["sweep", "--family", "MIs1", "--m-range", "3..017", "--s-range", "19..19",
+             "--jobs", "2", "--node-budget", "0"])
+        assert (args.m_range, args.s_range, args.jobs, args.node_budget) == (
+            (3, 17), (19, 19), 2, 0)
+        args = build_parser().parse_args(["length", "--p", "2", "--q", "3",
+                                          "--elem", "7", "--max-n", "-1"])
+        assert (args.p, args.q, args.max_n) == (2, 3, -1)
+
+
 # a path that cannot be opened: (argv given the test's tmp_path, errno)
 BAD_PATHS = {
     "resume-in-missing-dir": (

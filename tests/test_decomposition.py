@@ -198,12 +198,22 @@ UNITS = {
     "gen:sqrt(8);sqrt(12)": "3+sqrt(8)",
     "quad:12": "7+4*sqrt(3)",
     "quad-half:13": "(3+sqrt(13))/2",
+    (5, 443): "(1+sqrt(5))/2",
+    (5, 1003): "(1+sqrt(5))/2",
+}
+
+# Two Lemma 4.3 item-15 fields Q(sqrt(5), sqrt(s)) at large s, whose
+# ellipsoids are thinnest along sqrt(t), t = 5*s, the coordinate the walk
+# fixes first; each with an order element that has a sqrt(t) coordinate.
+THIN = {
+    (5, 443): "(sqrt(443)+sqrt(2215))/2",
+    (5, 1003): "(sqrt(1003)+sqrt(5015))/2",
 }
 
 
 def unit_orders():
-    """(order, unit) for one order of each basis type, two gen: orders and
-    two quadratic conductor orders."""
+    """(order, unit) for one order of each basis type, two gen: orders, two
+    quadratic conductor orders and the THIN fields."""
     out = []
     for key, unit in UNITS.items():
         if isinstance(key, tuple):
@@ -216,6 +226,18 @@ def unit_orders():
             order = quadratic_order(int(key[5:]))
         out.append((order, parse_element(unit, order.field)))
     return out
+
+
+def thin_roots(order):
+    """[w] for an order of a THIN field, w its THIN element; else []."""
+    text = THIN.get(order.field.radicands[:2])
+    return [parse_element(text, order.field)] if text else []
+
+
+def thin_caps(order):
+    """The abs-traces of the squares of thin_roots(order): caps whose trace
+    balls reach the sqrt(t) coordinate."""
+    return [(w * w).abs_trace() for w in thin_roots(order)]
 
 
 def nested_loop_levels(order, cap):
@@ -261,9 +283,19 @@ class TestSquareEnumeration:
             assert sq.abs_trace() <= 5
 
     def test_roots_are_sign_canonical(self):
-        for root, _ in unscaled(BQ23, enumerate_squares_traced(BQ23, 4)):
-            lead = next(c for c in root.coords() if c != 0)
-            assert lead > 0
+        # the walk's half-space cut makes its first walked coordinate, the
+        # last power coordinate, positive; the enumerators flip each root
+        # so that its first nonzero power coordinate is positive
+        for order, unit in unit_orders():
+            u2 = unit * unit
+            caps = [4, 6, *thin_caps(order)]
+            alphas = [5 * u2, u2 * (3 + unit), *(u2 + w * w for w in thin_roots(order))]
+            enumerations = [enumerate_squares_traced(order, cap) for cap in caps]
+            enumerations += [enumerate_squares_dominated(order, a) for a in alphas]
+            for pairs in enumerations:
+                assert pairs
+                for root, _ in pairs:
+                    assert next(c for c in root if c) > 0, (order, root)
 
     def test_dominated(self):
         alpha = 6 + F23.sqrt_of(2) + F23.sqrt_of(6)
@@ -287,11 +319,15 @@ class TestSquareEnumeration:
         orders += [parse_order_description(desc, F23)
                    for desc in ("gen:sqrt(2);sqrt(3)", "gen:sqrt(8);sqrt(12)")]
         orders += [quadratic_order(12), quadratic_order_half(13)]
+        orders += [maximal_order(classify_field(*key)) for key in THIN]
         for order in orders:
-            for cap in (Fraction(1, 2), 1, Fraction(7, 2), 6):
+            for cap in (Fraction(1, 2), 1, Fraction(7, 2), 6, *thin_caps(order)):
                 scaled = enumerate_squares_traced(order, cap)
                 assert len(set(scaled)) == len(scaled)
                 assert set(scaled) == box_walk_squares(order, cap), (order, cap)
+            for cap in thin_caps(order):
+                # the cap reaches the sqrt(t) coordinate
+                assert any(root[-1] for root, _ in enumerate_squares_traced(order, cap))
 
     def test_dominated_matches_trace_ball(self):
         # the walk over the ellipsoid abs_trace(x*x/alpha) <= 1 against the
@@ -310,11 +346,16 @@ class TestSquareEnumeration:
                 5 * u2,
                 u2 + 2,
                 u2 * (3 + unit),
+                *(u2 + w * w for w in thin_roots(order)),
             ]
             for alpha in alphas:
                 assert alpha.is_totally_nonnegative()
                 got = enumerate_squares_dominated(order, alpha)
                 assert list(got) == trace_ball_dominated(order, alpha), (order, alpha)
+            for w in thin_roots(order):
+                # a dominated square has a sqrt(t) coordinate
+                got = enumerate_squares_dominated(order, u2 + w * w)
+                assert any(root[-1] for root, _ in got)
 
     def test_scaled_coords(self):
         x = (F23.sqrt_of(2) + F23.sqrt_of(6)) / 2

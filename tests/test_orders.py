@@ -1,3 +1,4 @@
+import pickle
 import re
 from fractions import Fraction
 
@@ -169,6 +170,29 @@ class TestSublatticeOrders:
         b = custom_order(f, list(a.basis_elements()))
         assert a.basis_hash() == b.basis_hash()
         assert a.basis_hash() != custom_order(f, [f.sqrt_of(2), f.sqrt_of(3)]).basis_hash()
+
+
+class TestWalkBasis:
+    """The enumeration walks walk_basis, the HNF of the order's columns with
+    their coordinates reversed; basis stays the canonical form."""
+
+    def test_spans_the_lattice(self):
+        orders = sample_orders()
+        assert {o.field.basis_type for o in orders if o.field.degree == 4} == {
+            "B1", "B2", "B3", "B4a", "B4b"}
+        for o in orders:
+            dim = o.field.degree
+            # an HNF itself: lower triangular, positive pivots, reduced
+            assert hnf_columns(o.walk_basis, dim) == list(o.walk_basis), o
+            assert hnf_columns([c[::-1] for c in o.walk_basis], dim) == list(o.basis), o
+
+    def test_pickles_and_compares_equal(self):
+        # sweep --jobs ships orders to worker processes
+        for o in sample_orders():
+            copy = pickle.loads(pickle.dumps(o))
+            assert copy == o and hash(copy) == hash(o)
+            assert (copy.den, copy.basis, copy.walk_basis) == (o.den, o.basis, o.walk_basis)
+            assert copy.basis_hash() == o.basis_hash()
 
 
 class TestParseOrderDescription:
